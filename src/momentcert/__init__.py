@@ -27,6 +27,7 @@ from .certify import (
     PivotState,
     PivotStep,
     PsdCertificate,
+    certify_matrix,
     certify_recipe,
     gershgorin,
     is_psd_exact,

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Sequence
 
 from .lattice import (
     MOMENTS,
@@ -59,15 +59,28 @@ def g_vector(J: SubsetIndex, t: int) -> list[Fraction]:
     index = enumerate_subsets(J.n, t)
     jbits = J.bits
     jcard = J.cardinality
-    out = []
-    for I in index:
-        if I.bits & ~jbits:
-            out.append(Fraction(0))
-            continue
-        icard = I.cardinality
-        mag = choose(jcard - icard - 1, t - icard)
-        out.append(Fraction(-mag if (t - icard) & 1 else mag))
-    return out
+    return [
+        Fraction(0) if I.bits & ~jbits else Fraction(g_entry(jcard, I.cardinality, t))
+        for I in index
+    ]
+
+
+def g_entry(jcard: int, icard: int, t: int) -> int:
+    """G(J)_I for I inside J: (-1)^(t - |I|) * C(|J| - |I| - 1, t - |I|)."""
+    mag = choose(jcard - icard - 1, t - icard)
+    return -mag if (t - icard) & 1 else mag
+
+
+def add_rank_one(
+    rows: list[list[Fraction]], coeff: Fraction, g: Sequence[Fraction]
+) -> None:
+    """rows += coeff * g g^T in place, touching only the support of g."""
+    nz = [(k, v) for k, v in enumerate(g) if v]
+    for ki, vi in nz:
+        row = rows[ki]
+        cvi = coeff * vi
+        for kj, vj in nz:
+            row[kj] += cvi * vj
 
 
 @dataclass
@@ -131,6 +144,7 @@ class AlmostDiagonalForm:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "AlmostDiagonalForm":
+        """Parse a payload, checking every term against G(J) as decompose builds it."""
         try:
             n = int(data["n"])
             t = int(data["t"])
@@ -138,6 +152,8 @@ class AlmostDiagonalForm:
             terms_raw = data["terms"]
         except (KeyError, TypeError, ValueError) as exc:
             raise AdfError(f"malformed almost-diagonal payload: {exc}") from exc
+        if not isinstance(diag_map, dict) or not isinstance(terms_raw, list):
+            raise AdfError("malformed almost-diagonal payload: diag or terms")
         index = enumerate_subsets(n, t)
         pos = {s.bits: k for k, s in enumerate(index)}
         diag = [Fraction(0)] * len(index)
@@ -148,18 +164,33 @@ class AlmostDiagonalForm:
             diag[pos[s.bits]] = rat(value)
         terms = []
         for item in terms_raw:
-            vec = [Fraction(0)] * len(index)
             try:
                 J = SubsetIndex.parse(item["J"], n)
                 coeff = rat(item["coeff"])
-                pairs = [(label, value) for label, value in item["support"]]
-            except (KeyError, TypeError, ValueError) as exc:
+                pairs = [
+                    (SubsetIndex.parse(label, n), rat(value))
+                    for label, value in item["support"]
+                ]
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
                 raise AdfError(f"malformed rank-one term: {exc}") from exc
-            for label, value in pairs:
-                s = SubsetIndex.parse(label, n)
-                if s.bits not in pos:
-                    raise AdfError(f"support label {label} outside P_t")
-                vec[pos[s.bits]] = rat(value)
+            jcard = J.cardinality
+            if jcard <= t:
+                raise AdfError(f"term set {J} needs more than t={t} elements")
+            # Every entry of G(J) on the subsets of J up to size t is nonzero,
+            # so the support must list exactly those subsets, once each.
+            vec = [Fraction(0)] * len(index)
+            for s, value in pairs:
+                k = pos.get(s.bits)
+                if (
+                    k is None
+                    or s.bits & ~J.bits
+                    or vec[k]
+                    or value != g_entry(jcard, s.cardinality, t)
+                ):
+                    raise AdfError(f"support entry {s} of term {J} does not match G(J)")
+                vec[k] = value
+            if len(pairs) != sum(choose(jcard, i) for i in range(t + 1)):
+                raise AdfError(f"support of term {J} misses entries of G(J)")
             terms.append(RankOneTerm(J, coeff, vec))
         return cls(n, t, index, diag, terms)
 
@@ -198,13 +229,7 @@ def assemble(form: AlmostDiagonalForm) -> list[list[Fraction]]:
     for k, val in enumerate(form.diag):
         rows[k][k] = val
     for term in form.terms:
-        coeff = term.coefficient
-        nz = [(k, v) for k, v in enumerate(term.g_vec) if v]
-        for ki, vi in nz:
-            row = rows[ki]
-            cvi = coeff * vi
-            for kj, vj in nz:
-                row[kj] += cvi * vj
+        add_rank_one(rows, term.coefficient, term.g_vec)
     return rows
 
 

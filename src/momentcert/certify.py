@@ -17,11 +17,11 @@ otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .adf import AlmostDiagonalForm, RankOneTerm, assemble
+from .adf import AlmostDiagonalForm, RankOneTerm, add_rank_one, assemble
 from .lattice import LatticeError, SubsetIndex, rat_str
 
 Matrix = list[list[Fraction]]
@@ -162,13 +162,7 @@ class PivotState:
         self.snapshots.append([row[:] for row in self.working])
 
     def fold_term(self, term: RankOneTerm) -> None:
-        nz = [(k, v) for k, v in enumerate(term.g_vec) if v]
-        coeff = term.coefficient
-        for ki, vi in nz:
-            row = self.working[ki]
-            cvi = coeff * vi
-            for kj, vj in nz:
-                row[kj] += cvi * vj
+        add_rank_one(self.working, term.coefficient, term.g_vec)
         self.terms.remove(term)
 
     def fold_negative_terms(self) -> None:
@@ -179,11 +173,7 @@ class PivotState:
         """working plus all remaining terms, for oracle cross-checks."""
         out = [row[:] for row in self.working]
         for term in self.terms:
-            nz = [(k, v) for k, v in enumerate(term.g_vec) if v]
-            for ki, vi in nz:
-                cvi = term.coefficient * vi
-                for kj, vj in nz:
-                    out[ki][kj] += cvi * vj
+            add_rank_one(out, term.coefficient, term.g_vec)
         return out
 
 
@@ -331,13 +321,6 @@ def is_psd_exact(rows: Sequence[Sequence[Fraction]]) -> PsdCertificate:
             Wp = W[piv]
             for j in active:
                 Wi[j] -= fi * Wp[j]
-        # keep symmetry explicit for the remaining active block
-        for i, _ in col:
-            for j, _ in col:
-                if j > i:
-                    W[j][i] = W[i][j]
-            W[i][piv] = Fraction(0)
-            W[piv][i] = Fraction(0)
     return PsdCertificate(
         verdict="PSD",
         method="exact-factorization",
@@ -389,12 +372,9 @@ def _det(mat: Matrix) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _disks_conclusion(state: PivotState) -> Union[GershgorinReport, None]:
-    """Disk report when it proves PSD-ness of the assembled form, else None."""
-    report = gershgorin(state.working)
-    if report.all_nonnegative and all(t.coefficient > 0 for t in state.terms):
-        return report
-    return None
+def _disks_conclusion(state: PivotState, report: GershgorinReport) -> bool:
+    """Whether the disk report of state.working proves the assembled form PSD."""
+    return report.all_nonnegative and all(t.coefficient > 0 for t in state.terms)
 
 
 def certify_recipe(
@@ -410,23 +390,20 @@ def certify_recipe(
     pass or two consecutive pivots fail to improve the worst margin.
 
     Either way a failed recipe falls back to the exact oracle on the
-    assembled matrix, with recipe_conclusive set to False.
+    assembled matrix, with recipe_conclusive set to False. The disks are
+    read once per state of the working matrix, and both certificates
+    carry the last reading.
     """
     state = PivotState(form)
-    if schedule is not None:
-        for H, S in schedule:
-            pivot_reduce(state, H, S)
-        state.fold_negative_terms()
-        state.snapshot()
-        report = _disks_conclusion(state)
-    else:
-        state.fold_negative_terms()
-        state.snapshot()
-        report = _disks_conclusion(state)
-        best = gershgorin(state.working).margin()
+    for H, S in schedule or ():
+        pivot_reduce(state, H, S)
+    state.fold_negative_terms()
+    state.snapshot()
+    disks = gershgorin(state.working)
+    if schedule is None:
+        best = disks.margin()
         stalled = 0
-        while report is None and state.terms and stalled < 2:
-            disks = gershgorin(state.working)
+        while not _disks_conclusion(state, disks) and state.terms and stalled < 2:
             margins = sorted(
                 range(len(state.index)),
                 key=lambda i: (
@@ -446,31 +423,41 @@ def certify_recipe(
             if chosen is None:
                 break
             pivot_reduce(state, *chosen)
-            report = _disks_conclusion(state)
-            margin = gershgorin(state.working).margin()
+            disks = gershgorin(state.working)
+            margin = disks.margin()
             if margin > best:
                 best = margin
                 stalled = 0
             else:
                 stalled += 1
-    if report is not None:
+    if _disks_conclusion(state, disks):
         return PsdCertificate(
             verdict="PSD",
             method="gershgorin-recipe",
             schedule=state.trace,
-            final_disks=report,
+            final_disks=disks,
             row_labels=state.labels(),
             trace_matrices=state.snapshots,
         )
-    oracle = is_psd_exact(assemble(form))
-    return PsdCertificate(
-        verdict=oracle.verdict,
-        method="exact-factorization",
+    return replace(
+        is_psd_exact(assemble(form)),
         schedule=state.trace,
-        final_disks=gershgorin(state.working),
-        witness=oracle.witness,
-        factor_pivots=oracle.factor_pivots,
+        final_disks=disks,
         recipe_conclusive=False,
         row_labels=state.labels(),
         trace_matrices=state.snapshots,
     )
+
+
+def certify_matrix(rows: Sequence[Sequence[Fraction]]) -> PsdCertificate:
+    """Certify a raw symmetric matrix: the disks first, then the exact oracle.
+
+    There are no rank-one terms to pivot, so a failed disk pass goes
+    straight to is_psd_exact, with recipe_conclusive set to False.
+    """
+    disks = gershgorin(rows)
+    if disks.all_nonnegative:
+        return PsdCertificate(
+            verdict="PSD", method="gershgorin-recipe", final_disks=disks
+        )
+    return replace(is_psd_exact(rows), final_disks=disks, recipe_conclusive=False)

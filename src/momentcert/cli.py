@@ -15,6 +15,11 @@ Exit codes partition the outcomes:
     3  invalid argument (level out of range, bad pivot, bad parameters)
     4  the pivot recipe stayed inconclusive and the exact oracle had to
        decide; the verdict in the certificate is the oracle's
+
+certify --gershgorin-only reads the disks once and stops, for a raw
+matrix (--matrix) and for an almost-diagonal form (--adf, assembled
+first) alike: PSD when every disk passes, Inconclusive (exit 1)
+otherwise. It never pivots and never calls the oracle.
 """
 
 from __future__ import annotations
@@ -30,13 +35,12 @@ from .adf import AdfError, AlmostDiagonalForm, assemble, from_pseudo
 from .certify import (
     CertifyError,
     PsdCertificate,
+    certify_matrix,
     certify_recipe,
     gershgorin,
-    is_psd_exact,
 )
 from .gaps import (
     GapError,
-    MkpInstance,
     build_mkp,
     build_schedule,
     find_min_feasible_P,
@@ -103,6 +107,8 @@ def _load_moments(path: str) -> LatticeVector:
         values = data["values"]
     except (KeyError, TypeError, ValueError) as exc:
         raise LatticeError(f"malformed moments payload: {exc}") from exc
+    if not isinstance(values, dict):
+        raise LatticeError("malformed moments payload: values must be an object")
     entries = {
         SubsetIndex.parse(label, n).bits: rat(value)
         for label, value in values.items()
@@ -116,6 +122,8 @@ def _load_matrix(path: str) -> list[list[Fraction]]:
         rows = data["rows"]
     except (KeyError, TypeError) as exc:
         raise LatticeError(f"malformed matrix payload: {exc}") from exc
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise LatticeError("malformed matrix payload: rows must be a list of lists")
     return [[rat(v) for v in row] for row in rows]
 
 
@@ -151,10 +159,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
             n = y.n
         else:
             instance = instance_from_json(_read_json(args.instance))
-            if isinstance(instance, MkpInstance):
-                p = instance_solution(instance, args.level)
-            else:
-                p = instance_solution(instance)
+            p = instance_solution(instance, args.level)
             n = p.n
     except (GapError, LatticeError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -201,48 +206,23 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
     try:
         if args.gershgorin_only:
-            target = assemble(form) if form is not None else rows
-            report = gershgorin(target)
-            if report.all_nonnegative:
-                cert = PsdCertificate(
-                    verdict="PSD",
-                    method="gershgorin-recipe",
-                    final_disks=report,
-                )
-            else:
-                cert = PsdCertificate(
-                    verdict="Inconclusive",
-                    method="gershgorin-recipe",
-                    final_disks=report,
-                    recipe_conclusive=False,
-                )
+            report = gershgorin(assemble(form) if form is not None else rows)
+            settled = report.all_nonnegative
+            cert = PsdCertificate(
+                verdict="PSD" if settled else "Inconclusive",
+                method="gershgorin-recipe",
+                final_disks=report,
+                recipe_conclusive=settled,
+            )
         elif form is not None:
             schedule = None
             if args.schedule is not None:
                 schedule = _load_schedule(args.schedule, form.n)
             cert = certify_recipe(form, schedule=schedule)
+        elif args.schedule is not None:
+            raise CertifyError("pivot schedules apply to almost-diagonal input only")
         else:
-            if args.schedule is not None:
-                raise CertifyError(
-                    "pivot schedules apply to almost-diagonal input only"
-                )
-            report = gershgorin(rows)
-            if report.all_nonnegative:
-                cert = PsdCertificate(
-                    verdict="PSD",
-                    method="gershgorin-recipe",
-                    final_disks=report,
-                )
-            else:
-                oracle = is_psd_exact(rows)
-                cert = PsdCertificate(
-                    verdict=oracle.verdict,
-                    method="exact-factorization",
-                    final_disks=report,
-                    witness=oracle.witness,
-                    factor_pivots=oracle.factor_pivots,
-                    recipe_conclusive=False,
-                )
+            cert = certify_matrix(rows)
     except CertifyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
@@ -251,7 +231,6 @@ def cmd_certify(args: argparse.Namespace) -> int:
         return EXIT_PARSE
 
     _write_json(args.out, cert.to_json_dict(include_trace=args.trace))
-    code = EXIT_NEGATIVE if cert.verdict == "Inconclusive" else _certificate_exit(cert)
     _run_report(
         "certify",
         {
@@ -262,7 +241,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
         [args.out],
         {"verdict": cert.verdict, "method": cert.method},
     )
-    return code
+    return _certificate_exit(cert)
 
 
 # ---------------------------------------------------------------------------

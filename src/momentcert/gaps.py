@@ -28,9 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from typing import Sequence, Union
+from typing import Iterator, Union
 
-from .adf import AlmostDiagonalForm, RankOneTerm, assemble, decompose, from_pseudo, g_vector
+from .adf import RankOneTerm, assemble, decompose, from_pseudo, g_vector
 from .certify import PivotState, PsdCertificate, certify_recipe, is_psd_exact, pivot_reduce
 from .lattice import (
     MOMENTS,
@@ -301,20 +301,16 @@ def trace_bound_check(n: int, P: RationalLike, y: LatticeVector) -> TraceBoundRe
     g = knapsack_constraint(n, Pq)
     z = shift(g, y)
     zp = to_pseudo_probabilities(z)
-    index = enumerate_subsets(n, n - 1)
-    pos = {s.bits: k for k, s in enumerate(index)}
-    diag = [Fraction(0)] * len(index)
-    for mask, val in zp.items():
-        if mask.bit_count() <= n - 1:
-            diag[pos[mask]] = val
+    form = from_pseudo(zp, n - 1)
     ground = SubsetIndex((1 << n) - 1, n)
-    # The top term is kept even at coefficient zero: the congruence that
-    # clears it is what produces the trace identity, fold or no fold.
-    top = RankOneTerm(ground, zp.get(ground.bits), g_vector(ground, n - 1))
-    form = AlmostDiagonalForm(n, n - 1, index, diag, [top])
+    # The top term is kept even at coefficient zero, where from_pseudo drops
+    # it: the congruence that clears it is what produces the trace identity,
+    # fold or no fold.
+    if not form.terms:
+        form.terms.append(RankOneTerm(ground, Fraction(0), g_vector(ground, n - 1)))
     state = PivotState(form)
     pivot_reduce(state, ground, SubsetIndex(0, n))
-    trace = sum((state.working[i][i] for i in range(len(index))), Fraction(0))
+    trace = sum((state.working[i][i] for i in range(form.size())), Fraction(0))
 
     p_empty = to_pseudo_probabilities(y).get(0)
     rhs = Pq * z.get(0) / ((1 << n) - 2)
@@ -578,8 +574,8 @@ def build_schedule(n: int, k: RationalLike, P: RationalLike) -> ScheduleInstance
     Pq = rat(P)
     if n < 1:
         raise GapError(f"group count must be positive, got {n}")
-    if n * n > 25:
-        raise GapError(f"job count {n * n} exceeds the supported 25")
+    if n * n > max_ground_size():
+        raise GapError(f"job count {n * n} exceeds the ground-set cap")
     if kq < 1:
         raise GapError(f"invalid-argument: k must be at least 1, got {rat_str(kq)}")
     cap = Fraction(n) / kq
@@ -604,7 +600,8 @@ def _sparse_moment_rows(
 
     Entry (I, J) is the superset sum of the pseudo-probabilities over
     I union J; iterating the nonzero pseudo entries per matrix entry
-    avoids any dense 2^N pass, which matters for 25 ground elements.
+    avoids any dense 2^N pass, which matters once N passes
+    DENSE_TRANSFORM_MAX_N.
     """
     index = enumerate_subsets(zp.n, t)
     nonzero = list(zp.items())
@@ -620,6 +617,20 @@ def _sparse_moment_rows(
             row.append(acc)
         rows.append(row)
     return index, rows
+
+
+def _covering_certificates(
+    instance: ScheduleInstance, p: LatticeVector
+) -> Iterator[PsdCertificate]:
+    """Oracle certificates of the prefix covering matrices, level 1 up.
+
+    A generator, so a caller that stops at the first non-PSD verdict
+    decides no further matrices.
+    """
+    for level in range(1, instance.n + 1):
+        zp = constraint_diagonal(instance.covering_constraint(level), p)
+        _, rows = _sparse_moment_rows(zp, instance.level_cap - 1)
+        yield is_psd_exact(rows)
 
 
 def verify_schedule(instance: ScheduleInstance) -> GapReport:
@@ -652,10 +663,7 @@ def verify_schedule(instance: ScheduleInstance) -> GapReport:
     certificates.append(("cardinality", cardinality_cert))
     verdicts.append(cardinality_cert.verdict)
 
-    for level in range(1, instance.n + 1):
-        zp = constraint_diagonal(instance.covering_constraint(level), p)
-        _, rows = _sparse_moment_rows(zp, cap - 1)
-        cert = is_psd_exact(rows)
+    for level, cert in enumerate(_covering_certificates(instance, p), start=1):
         certificates.append((f"covering-{level}", cert))
         verdicts.append(cert.verdict)
 
@@ -679,18 +687,6 @@ def verify_schedule(instance: ScheduleInstance) -> GapReport:
     )
 
 
-def _coverings_psd(n: int, k: RationalLike, P: RationalLike) -> bool:
-    instance = build_schedule(n, k, P)
-    p = schedule_solution(instance)
-    cap = instance.level_cap
-    for level in range(1, instance.n + 1):
-        zp = constraint_diagonal(instance.covering_constraint(level), p)
-        _, rows = _sparse_moment_rows(zp, cap - 1)
-        if is_psd_exact(rows).verdict != "PSD":
-            return False
-    return True
-
-
 def find_min_feasible_P(n: int, k: RationalLike) -> int:
     """Smallest integer weight base P >= 2 with all coverings PSD.
 
@@ -699,9 +695,14 @@ def find_min_feasible_P(n: int, k: RationalLike) -> int:
     covering matrices are consulted. The search is guarded against
     running away when no feasible base exists below 2^40.
     """
-    build_schedule(n, k, 2)
+
+    def coverings_psd(P: int) -> bool:
+        instance = build_schedule(n, k, P)
+        certs = _covering_certificates(instance, schedule_solution(instance))
+        return all(cert.verdict == "PSD" for cert in certs)
+
     hi = 2
-    while not _coverings_psd(n, k, hi):
+    while not coverings_psd(hi):
         hi *= 2
         if hi > 1 << 40:
             raise GapError("no feasible integer base below 2^40")
@@ -710,7 +711,7 @@ def find_min_feasible_P(n: int, k: RationalLike) -> int:
     lo = hi // 2
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _coverings_psd(n, k, mid):
+        if coverings_psd(mid):
             hi = mid
         else:
             lo = mid

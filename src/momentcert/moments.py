@@ -13,7 +13,9 @@ subset-inclusion zeta matrix Z as
 
 with p the pseudo-probability vector of w. Every entry of the product on
 the right is a plain superset sum of p over the union of its row and
-column labels, which is what full_diagonalize checks entry by entry.
+column labels. full_diagonalize only round-trips the transforms (zeta of
+the Moebius image gives w back); the independent check of the product is
+the literal Z * Diag(p) * Z^T of acceptance criterion 1.
 """
 
 from __future__ import annotations
@@ -178,12 +180,14 @@ class ZetaBlock:
 
 
 def full_diagonalize(w: LatticeVector) -> tuple[LatticeVector, bool]:
-    """Pseudo-probabilities of w plus the exact factorization verdict.
+    """Pseudo-probabilities of w plus a round-trip flag.
 
-    Returns (p, verified) where p is the transform of w and verified says
-    whether Z * Diag(p) * Z^T equals M_n(w) entry by entry. Entry (I, J)
-    of the product is the superset sum of p over I union J, so the check
-    runs over every union without building the 2^n by 2^n product.
+    Returns (p, verified) where p is the Moebius transform of w and
+    verified says whether the zeta transform of p gives w back. Entry
+    (I, J) of Z * Diag(p) * Z^T is the zeta image of p at I union J, so
+    the round trip is that product's entries over every union; it is not
+    an independent check. Acceptance criterion 1 compares the literal
+    product against M_n(w) for that.
     """
     if w.n > ZETA_BLOCK_MAX_N:
         raise LatticeError(

@@ -23,10 +23,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Sequence
 
 from .adf import AlmostDiagonalForm, from_pseudo
-from .certify import GershgorinReport, PsdCertificate, certify_recipe, gershgorin
+from .certify import GershgorinReport, PsdCertificate, certify_recipe
 from .gaps import MkpInstance, build_mkp, mkp_uniform_solution
 from .lattice import (
     PSEUDO_PROBABILITIES,
@@ -232,7 +232,7 @@ def replay_demand_reduction(eps: RationalLike) -> ReplayResult:
         form=form,
         certificate=cert,
         stages=stages,
-        final_disks=gershgorin(stages[-1]),
+        final_disks=cert.final_disks,
         matches=matches,
         mismatches=mismatches,
     )

@@ -7,6 +7,7 @@ import pytest
 
 from momentcert import (
     MOMENTS,
+    PSEUDO_PROBABILITIES,
     AdfError,
     AlmostDiagonalForm,
     LatticeVector,
@@ -199,3 +200,23 @@ def test_adf_json_rejects_mangled_payload():
     data["terms"] = [{"J": "{1,2}"}]
     with pytest.raises(AdfError):
         AlmostDiagonalForm.from_json_dict(data)
+
+
+def test_adf_json_rejects_terms_decompose_cannot_write():
+    p = LatticeVector(3, PSEUDO_PROBABILITIES, {0b000: 1, 0b011: "1/2"})
+    good = from_pseudo(p, 1).to_json_dict()
+    (term,) = good["terms"]
+    assert term["support"] == [["{}", "-1"], ["{1}", "1"], ["{2}", "1"]]
+    bad_supports = [
+        [["{}", "-2"], ["{1}", "1"], ["{2}", "1"]],  # wrong value
+        [["{1}", "1"], ["{2}", "1"]],  # missing entry
+        [["{}", "-1"], ["{1}", "1"], ["{1}", "1"]],  # repeated entry
+        [["{}", "-1"], ["{1}", "1"], ["{2}", "1"], ["{3}", "1"]],  # outside J
+    ]
+    bad_terms = [dict(term, support=support) for support in bad_supports]
+    # |J| <= t: such a term would collide with the diagonal part
+    low = {"J": "{1}", "coeff": "1", "support": [["{}", "-1"], ["{1}", "1"]]}
+    bad_terms.append(low)
+    for bad in bad_terms:
+        with pytest.raises(AdfError):
+            AlmostDiagonalForm.from_json_dict(dict(good, terms=[bad]))

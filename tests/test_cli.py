@@ -92,10 +92,10 @@ def test_decompose_rejects_bad_level(tmp_path, capsys):
 
 
 def test_decompose_rejects_malformed_values(tmp_path, capsys):
-    payload = {"n": 2, "values": {"{}": "1/0"}}
-    src = write(tmp_path / "y.json", payload)
     out = tmp_path / "adf.json"
-    assert main(["decompose", "--input", src, "--level", "1", "--out", str(out)]) == 2
+    for payload in ({"n": 2, "values": {"{}": "1/0"}}, {"n": 2, "values": []}):
+        src = write(tmp_path / "y.json", payload)
+        assert main(["decompose", "--input", src, "--level", "1", "--out", str(out)]) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -104,13 +104,16 @@ def test_decompose_rejects_malformed_values(tmp_path, capsys):
 
 
 def test_certify_disks_only_cannot_settle_the_strategy_matrix(tmp_path, capsys):
-    src = write(tmp_path / "m.json", STRATEGY_MATRIX)
-    out = tmp_path / "cert.json"
-    code = main(
-        ["certify", "--matrix", src, "--gershgorin-only", "--out", str(out)]
-    )
-    assert code == 1
-    assert read(out)["verdict"] == "Inconclusive"
+    # the strategy form assembles to the strategy matrix
+    inputs = [("--matrix", STRATEGY_MATRIX), ("--adf", strategy_adf_payload())]
+    for flag, payload in inputs:
+        src = write(tmp_path / "in.json", payload)
+        out = tmp_path / "cert.json"
+        code = main(
+            ["certify", flag, src, "--gershgorin-only", "--out", str(out)]
+        )
+        assert code == 1
+        assert read(out)["verdict"] == "Inconclusive"
 
 
 def test_certify_recipe_settles_the_strategy_form(tmp_path, capsys):
@@ -184,9 +187,25 @@ def test_certify_rejects_schedule_on_raw_matrix(tmp_path, capsys):
 
 def test_certify_rejects_garbage_json(tmp_path, capsys):
     src = tmp_path / "m.json"
-    src.write_text("not json", encoding="utf-8")
     out = tmp_path / "cert.json"
-    assert main(["certify", "--matrix", str(src), "--out", str(out)]) == 2
+    for text in ("not json", '{"rows": 5}'):
+        src.write_text(text, encoding="utf-8")
+        assert main(["certify", "--matrix", str(src), "--out", str(out)]) == 2
+
+
+def test_certify_rejects_forms_decompose_cannot_write(tmp_path, capsys):
+    low_term = {"J": "{1}", "coeff": "2", "support": [["{}", "-1"], ["{1}", "1"]]}
+    bent_term = {
+        "J": "{1,2}",
+        "coeff": "2",
+        "support": [["{}", "-1"], ["{1}", "2"], ["{2}", "1"]],
+    }
+    out = tmp_path / "cert.json"
+    for term in (low_term, bent_term):
+        payload = dict(strategy_adf_payload(), terms=[term])
+        src = write(tmp_path / "form.json", payload)
+        assert main(["certify", "--adf", src, "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

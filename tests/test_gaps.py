@@ -270,6 +270,8 @@ def test_schedule_rejects_bad_parameters():
     with pytest.raises(GapError):
         build_schedule(6, 2, 5)  # 36 jobs exceed the ground-set cap
     with pytest.raises(GapError):
+        build_schedule(5, F(5, 2), 1000)  # 25 jobs exceed it too
+    with pytest.raises(GapError):
         build_schedule(4, "1/2", 5)
     with pytest.raises(GapError):
         build_schedule(4, 2, 1)
