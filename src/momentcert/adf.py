@@ -171,7 +171,7 @@ class AlmostDiagonalForm:
                     (SubsetIndex.parse(label, n), rat(value))
                     for label, value in item["support"]
                 ]
-            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise AdfError(f"malformed rank-one term: {exc}") from exc
             jcard = J.cardinality
             if jcard <= t:

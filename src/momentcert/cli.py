@@ -11,10 +11,14 @@ Exit codes partition the outcomes:
     0  success (certified PSD, feasible instance, goldens matched)
     1  definite negative (NotPSD witness, infeasible, disks unsettled
        in disks-only mode, golden mismatch)
-    2  input parse failure
+    2  an input could not be read or parsed, or the output could not
+       be written
     3  invalid argument (level out of range, bad pivot, bad parameters)
     4  the pivot recipe stayed inconclusive and the exact oracle had to
        decide; the verdict in the certificate is the oracle's
+    5  internal error; the traceback goes to stderr
+
+main() alone maps errors to these codes; the commands catch nothing.
 
 certify --gershgorin-only reads the disks once and stops, for a raw
 matrix (--matrix) and for an almost-diagonal form (--adf, assembled
@@ -28,10 +32,11 @@ import argparse
 import json
 import sys
 import time
+import traceback
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Any, Callable, Sequence, TypeVar, Union
 
-from .adf import AdfError, AlmostDiagonalForm, assemble, from_pseudo
+from .adf import AlmostDiagonalForm, assemble, from_pseudo
 from .certify import (
     CertifyError,
     PsdCertificate,
@@ -66,20 +71,19 @@ EXIT_NEGATIVE = 1
 EXIT_PARSE = 2
 EXIT_INVALID = 3
 EXIT_ORACLE_DECIDED = 4
+EXIT_INTERNAL = 5
+
+T = TypeVar("T")
+
+
+class InputError(Exception):
+    """An input file could not be read or parsed."""
 
 
 def _write_json(path: str, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True, ensure_ascii=False, indent=2)
         fh.write("\n")
-
-
-def _read_json(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise LatticeError(f"expected a JSON object in {path}")
-    return data
 
 
 def _run_report(
@@ -100,49 +104,38 @@ def _run_report(
     sys.stdout.write("\n")
 
 
-def _load_moments(path: str) -> LatticeVector:
-    data = _read_json(path)
+def _load(path: str, parse: Callable[[Any], T]) -> T:
+    """parse() applied to the JSON in path; any failure is an InputError."""
     try:
-        n = int(data["n"])
-        values = data["values"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise LatticeError(f"malformed moments payload: {exc}") from exc
-    if not isinstance(values, dict):
-        raise LatticeError("malformed moments payload: values must be an object")
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse(json.load(fh))
+    except Exception as exc:
+        raise InputError(f"{path}: {type(exc).__name__}: {exc}") from exc
+
+
+def _parse_moments(data: dict) -> LatticeVector:
+    n = int(data["n"])
     entries = {
         SubsetIndex.parse(label, n).bits: rat(value)
-        for label, value in values.items()
+        for label, value in data["values"].items()
     }
     return LatticeVector(n, MOMENTS, entries)
 
 
-def _load_matrix(path: str) -> list[list[Fraction]]:
-    data = _read_json(path)
-    try:
-        rows = data["rows"]
-    except (KeyError, TypeError) as exc:
-        raise LatticeError(f"malformed matrix payload: {exc}") from exc
+def _parse_matrix(data: dict) -> list[list[Fraction]]:
+    rows = data["rows"]
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
-        raise LatticeError("malformed matrix payload: rows must be a list of lists")
+        raise LatticeError("rows must be a list of lists")
     return [[rat(v) for v in row] for row in rows]
 
 
-def _load_schedule(
-    path: str, n: int
-) -> list[tuple[SubsetIndex, SubsetIndex]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+def _parse_schedule(data: list, n: int) -> list[tuple[SubsetIndex, SubsetIndex]]:
     if not isinstance(data, list):
-        raise LatticeError(f"expected a JSON list of pivots in {path}")
-    out = []
-    for item in data:
-        try:
-            out.append(
-                (SubsetIndex.parse(item["H"], n), SubsetIndex.parse(item["S"], n))
-            )
-        except (KeyError, TypeError) as exc:
-            raise LatticeError(f"malformed pivot entry: {exc}") from exc
-    return out
+        raise LatticeError("expected a JSON list of pivots")
+    return [
+        (SubsetIndex.parse(item["H"], n), SubsetIndex.parse(item["S"], n))
+        for item in data
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -152,27 +145,16 @@ def _load_schedule(
 
 def cmd_decompose(args: argparse.Namespace) -> int:
     started = time.monotonic()
-    try:
-        if args.input is not None:
-            y = _load_moments(args.input)
-            p = to_pseudo_probabilities(y)
-            n = y.n
-        else:
-            instance = instance_from_json(_read_json(args.instance))
-            p = instance_solution(instance, args.level)
-            n = p.n
-    except (GapError, LatticeError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        form = from_pseudo(p, args.level)
-    except AdfError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    if args.input is not None:
+        p = to_pseudo_probabilities(_load(args.input, _parse_moments))
+    else:
+        instance = _load(args.instance, instance_from_json)
+        p = instance_solution(instance, args.level)
+    form = from_pseudo(p, args.level)
     _write_json(args.out, form.to_json_dict())
     _run_report(
         "decompose",
-        {"level": args.level, "n": n},
+        {"level": args.level, "n": p.n},
         started,
         [args.out],
         {"terms": len(form.terms), "size": form.size()},
@@ -193,42 +175,31 @@ def _certificate_exit(cert: PsdCertificate) -> int:
 
 def cmd_certify(args: argparse.Namespace) -> int:
     started = time.monotonic()
-    try:
-        if args.adf is not None:
-            form = AlmostDiagonalForm.from_json_dict(_read_json(args.adf))
-            rows = None
-        else:
-            rows = _load_matrix(args.matrix)
-            form = None
-    except (LatticeError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    if args.adf is not None:
+        form = _load(args.adf, AlmostDiagonalForm.from_json_dict)
+        rows = None
+    else:
+        rows = _load(args.matrix, _parse_matrix)
+        form = None
 
-    try:
-        if args.gershgorin_only:
-            report = gershgorin(assemble(form) if form is not None else rows)
-            settled = report.all_nonnegative
-            cert = PsdCertificate(
-                verdict="PSD" if settled else "Inconclusive",
-                method="gershgorin-recipe",
-                final_disks=report,
-                recipe_conclusive=settled,
-            )
-        elif form is not None:
-            schedule = None
-            if args.schedule is not None:
-                schedule = _load_schedule(args.schedule, form.n)
-            cert = certify_recipe(form, schedule=schedule)
-        elif args.schedule is not None:
-            raise CertifyError("pivot schedules apply to almost-diagonal input only")
-        else:
-            cert = certify_matrix(rows)
-    except CertifyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except LatticeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    if args.gershgorin_only:
+        report = gershgorin(assemble(form) if form is not None else rows)
+        settled = report.all_nonnegative
+        cert = PsdCertificate(
+            verdict="PSD" if settled else "Inconclusive",
+            method="gershgorin-recipe",
+            final_disks=report,
+            recipe_conclusive=settled,
+        )
+    elif form is not None:
+        schedule = None
+        if args.schedule is not None:
+            schedule = _load(args.schedule, lambda data: _parse_schedule(data, form.n))
+        cert = certify_recipe(form, schedule=schedule)
+    elif args.schedule is not None:
+        raise CertifyError("pivot schedules apply to almost-diagonal input only")
+    else:
+        cert = certify_matrix(rows)
 
     _write_json(args.out, cert.to_json_dict(include_trace=args.trace))
     _run_report(
@@ -251,33 +222,26 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
 def cmd_gap(args: argparse.Namespace) -> int:
     started = time.monotonic()
-    try:
-        if args.family == "knapsack":
-            k = rat(args.k)
-            P = k * (1 << (2 * args.n + 1))
-            report = verify_knapsack_level(args.n, P)
-            ok = report.feasible and report.gap >= k
-        elif args.family == "mkp":
-            instance = build_mkp(args.blocks, args.items_per_block, args.eps, args.T)
-            report = verify_mkp(instance, args.level)
-            ok = report.feasible
+    if args.family == "knapsack":
+        k = rat(args.k)
+        P = k * (1 << (2 * args.n + 1))
+        report = verify_knapsack_level(args.n, P)
+        ok = report.feasible and report.gap >= k
+    elif args.family == "mkp":
+        instance = build_mkp(args.blocks, args.items_per_block, args.eps, args.T)
+        report = verify_mkp(instance, args.level)
+        ok = report.feasible
+    else:
+        k = rat(args.k)
+        if args.find_min_p:
+            pstar = find_min_feasible_P(args.n, k)
+            instance = build_schedule(args.n, k, pstar)
+        elif args.P is not None:
+            instance = build_schedule(args.n, k, rat(args.P))
         else:
-            k = rat(args.k)
-            if args.find_min_p:
-                pstar = find_min_feasible_P(args.n, k)
-                instance = build_schedule(args.n, k, pstar)
-            elif args.P is not None:
-                instance = build_schedule(args.n, k, rat(args.P))
-            else:
-                raise GapError("schedule needs either --P or --find-min-p")
-            report = verify_schedule(instance)
-            ok = report.feasible and report.gap >= k
-    except (GapError, LatticeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+            raise GapError("schedule needs either --P or --find-min-p")
+        report = verify_schedule(instance)
+        ok = report.feasible and report.gap >= k
 
     _write_json(args.out, report.to_json_dict(include_trace=args.trace))
     _run_report(
@@ -301,11 +265,7 @@ def cmd_gap(args: argparse.Namespace) -> int:
 
 def cmd_replay(args: argparse.Namespace) -> int:
     started = time.monotonic()
-    try:
-        result = replay_demand_reduction(args.eps)
-    except LatticeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    result = replay_demand_reduction(args.eps)
     _write_json(args.out, result.to_json_dict())
     _run_report(
         "replay",
@@ -400,9 +360,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Union[Sequence[str], None] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except (InputError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except LatticeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except Exception:
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

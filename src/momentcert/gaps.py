@@ -797,7 +797,9 @@ def instance_from_json(data: dict) -> Instance:
             return build_schedule(
                 int(params["n"]), rat(params["k"]), rat(params["P"])
             )
-    except (KeyError, TypeError) as exc:
+    except LatticeError:  # the builders' own errors, kept as raised
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
         raise GapError(f"malformed instance payload: {exc}") from exc
     raise GapError(f"unknown instance family {family!r}")
 

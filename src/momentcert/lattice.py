@@ -18,7 +18,6 @@ p_S. Both run in-place on a dense array in O(n * 2^n).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -29,7 +28,6 @@ MOMENTS = "moments"
 PSEUDO_PROBABILITIES = "pseudo-probabilities"
 
 DEFAULT_MAX_GROUND = 24
-_ENV_MAX_GROUND = "LASSERRE_ADF_MAX_N"
 
 
 class LatticeError(ValueError):
@@ -37,20 +35,8 @@ class LatticeError(ValueError):
 
 
 def max_ground_size() -> int:
-    """Cap on the ground-set size n (dense arrays have 2^n entries).
-
-    The environment variable LASSERRE_ADF_MAX_N overrides the default cap
-    of 24; raising it is at the caller's own risk of memory exhaustion.
-    """
-    raw = os.environ.get(_ENV_MAX_GROUND)
-    if raw is None:
-        return DEFAULT_MAX_GROUND
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise LatticeError(
-            f"{_ENV_MAX_GROUND} must be an integer, got {raw!r}"
-        ) from exc
+    """Cap on the ground-set size n (dense arrays have 2^n entries)."""
+    return DEFAULT_MAX_GROUND
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +123,8 @@ class SubsetIndex:
     @classmethod
     def parse(cls, text: str, n: int) -> "SubsetIndex":
         """Parse the text form '{1,3}' (or '{}' for the empty set)."""
+        if not isinstance(text, str):
+            raise LatticeError(f"not a subset: {text!r}")
         body = text.strip()
         if not (body.startswith("{") and body.endswith("}")):
             raise LatticeError(f"not a subset: {text!r}")

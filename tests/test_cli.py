@@ -1,12 +1,17 @@
 """End-to-end command-line behavior, driven through main()."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 
+import momentcert
 from momentcert import assemble, from_pseudo, normalized_demand_form
 from momentcert import canonical_instance, stage_matrices
+from momentcert import cli
 from momentcert.cli import main
 from momentcert.lattice import PSEUDO_PROBABILITIES, LatticeVector
 
@@ -83,19 +88,32 @@ def test_decompose_instance_file(tmp_path, capsys):
     assert term["J"] == "{1,2}" and term["coeff"] == "4/63"
 
 
+MKP_PARAMS = {"blocks": 3, "items_per_block": 2, "eps": "1/16", "T": 2}
+
+
 def test_decompose_rejects_bad_level(tmp_path, capsys):
-    src = write(tmp_path / "y.json", INDEFINITE_MOMENTS)
     out = tmp_path / "adf.json"
-    code = main(["decompose", "--input", src, "--level", "5", "--out", str(out)])
-    assert code == 3
-    assert not out.exists()
+    inputs = [
+        ("--input", INDEFINITE_MOMENTS, "5"),
+        ("--instance", {"family": "mkp", "params": MKP_PARAMS}, "6"),
+    ]
+    for flag, payload, level in inputs:
+        src = write(tmp_path / "in.json", payload)
+        code = main(["decompose", flag, src, "--level", level, "--out", str(out)])
+        assert code == 3
+        assert not out.exists()
 
 
 def test_decompose_rejects_malformed_values(tmp_path, capsys):
     out = tmp_path / "adf.json"
-    for payload in ({"n": 2, "values": {"{}": "1/0"}}, {"n": 2, "values": []}):
-        src = write(tmp_path / "y.json", payload)
-        assert main(["decompose", "--input", src, "--level", "1", "--out", str(out)]) == 2
+    inputs = [
+        ("--input", {"n": 2, "values": {"{}": "1/0"}}),
+        ("--input", {"n": 2, "values": []}),
+        ("--instance", {"family": "mkp", "params": dict(MKP_PARAMS, blocks="x")}),
+    ]
+    for flag, payload in inputs:
+        src = write(tmp_path / "in.json", payload)
+        assert main(["decompose", flag, src, "--level", "1", "--out", str(out)]) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +191,24 @@ def test_certify_rejects_invalid_pivot(tmp_path, capsys):
         ["certify", "--adf", src, "--schedule", sched, "--out", str(out)]
     )
     assert code == 3
+
+
+def test_certify_rejects_unreadable_schedules(tmp_path, capsys):
+    src = write(tmp_path / "form.json", strategy_adf_payload())
+    out = tmp_path / "cert.json"
+    garbage = tmp_path / "garbage.json"
+    garbage.write_text("not json", encoding="utf-8")
+    schedules = [
+        str(tmp_path / "missing.json"),
+        str(garbage),
+        write(tmp_path / "label.json", [{"H": 5, "S": "{}"}]),
+    ]
+    for sched in schedules:
+        code = main(
+            ["certify", "--adf", src, "--schedule", sched, "--out", str(out)]
+        )
+        assert code == 2
+    assert not out.exists()
 
 
 def test_certify_rejects_schedule_on_raw_matrix(tmp_path, capsys):
@@ -340,6 +376,48 @@ def test_replay_matches_the_goldens(tmp_path, capsys):
     assert data["matches"] is True
     assert data["verdict"] == "PSD"
     assert len(data["stages"]) == 6
+
+
+# ---------------------------------------------------------------------------
+# exit-code boundary
+# ---------------------------------------------------------------------------
+
+
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    src = write(tmp_path / "m.json", {"rows": [["1", "0"], ["0", "1"]]})
+    out = str(tmp_path / "missing" / "out.json")
+    commands = [
+        ["certify", "--matrix", src, "--out", out],
+        ["gap", "mkp", "--eps", "1/16", "--T", "2", "--out", out],
+        ["replay", "--out", out],
+    ]
+    for argv in commands:
+        assert main(argv) == 2
+
+
+def test_internal_error_exits_5_with_a_traceback(monkeypatch, tmp_path, capsys):
+    def crash(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_replay", crash)
+    assert main(["replay", "--out", str(tmp_path / "r.json")]) == 5
+    err = capsys.readouterr().err
+    assert "Traceback (most recent call last)" in err
+    assert "RuntimeError: boom" in err
+
+
+def test_module_entry_point_exits_2_on_a_missing_input(tmp_path):
+    src_dir = os.path.dirname(os.path.dirname(momentcert.__file__))
+    env = dict(os.environ, PYTHONPATH=src_dir)
+    argv = ["certify", "--matrix", str(tmp_path / "missing.json")]
+    proc = subprocess.run(
+        [sys.executable, "-m", "momentcert", *argv, "--out", str(tmp_path / "c.json")],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -333,6 +333,9 @@ def test_instance_json_rejects_unknown_family():
         instance_from_json({"family": "matching", "params": {}})
     with pytest.raises(GapError):
         instance_from_json({"params": {}})
+    with pytest.raises(GapError):
+        mkp_params = {"blocks": "x", "items_per_block": 2, "eps": "1/16", "T": 2}
+        instance_from_json({"family": "mkp", "params": mkp_params})
 
 
 def test_gap_report_json_shape():

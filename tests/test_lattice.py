@@ -59,7 +59,7 @@ def test_subset_members_and_text_roundtrip():
     assert SubsetIndex.parse("{}", 3) == SubsetIndex(0, 3)
 
 
-@pytest.mark.parametrize("text", ["{0}", "{4}", "{1,1}", "1,2", "{x}"])
+@pytest.mark.parametrize("text", ["{0}", "{4}", "{1,1}", "1,2", "{x}", 5, None])
 def test_subset_parse_rejects_garbage(text):
     with pytest.raises(LatticeError):
         SubsetIndex.parse(text, 3)
