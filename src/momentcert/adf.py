@@ -29,6 +29,7 @@ from .lattice import (
     LatticeVector,
     SubsetIndex,
     enumerate_subsets,
+    json_int,
     rat,
     rat_str,
     to_pseudo_probabilities,
@@ -146,8 +147,8 @@ class AlmostDiagonalForm:
     def from_json_dict(cls, data: dict) -> "AlmostDiagonalForm":
         """Parse a payload, checking every term against G(J) as decompose builds it."""
         try:
-            n = int(data["n"])
-            t = int(data["t"])
+            n = json_int(data["n"])
+            t = json_int(data["t"])
             diag_map = data["diag"]
             terms_raw = data["terms"]
         except (KeyError, TypeError, ValueError) as exc:

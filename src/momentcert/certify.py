@@ -10,9 +10,9 @@ preserves congruence, so a disk pass after any pivot sequence certifies the
 original matrix once the remaining unfolded terms are all PSD themselves.
 
 When no pivot sequence settles the question, is_psd_exact decides it by
-exact symmetric elimination over the rationals, returning a factorization
-for PSD matrices and an explicit rational witness v with v^T A v < 0
-otherwise.
+exact symmetric elimination over the rationals: a bare PSD verdict when
+every pivot stays nonnegative, and an explicit rational witness v with
+v^T A v < 0 otherwise.
 """
 
 from __future__ import annotations
@@ -236,7 +236,6 @@ class PsdCertificate:
     schedule: list[PivotStep] = field(default_factory=list)
     final_disks: Union[GershgorinReport, None] = None
     witness: Union[list[Fraction], None] = None
-    factor_pivots: Union[list[tuple[int, Fraction]], None] = None
     recipe_conclusive: bool = True
     row_labels: Union[list[str], None] = None
     trace_matrices: list[Matrix] = field(default_factory=list)
@@ -278,7 +277,6 @@ def is_psd_exact(rows: Sequence[Sequence[Fraction]]) -> PsdCertificate:
         for i in range(size)
     ]
     active = list(range(size))
-    factor: list[tuple[int, Fraction]] = []
     while active:
         neg = next((i for i in active if W[i][i] < 0), None)
         if neg is not None:
@@ -286,7 +284,6 @@ def is_psd_exact(rows: Sequence[Sequence[Fraction]]) -> PsdCertificate:
                 verdict="NotPSD",
                 method="exact-factorization",
                 witness=basis[neg],
-                factor_pivots=factor,
             )
         piv = max(active, key=lambda i: W[i][i])
         if W[piv][piv] == 0:
@@ -302,11 +299,9 @@ def is_psd_exact(rows: Sequence[Sequence[Fraction]]) -> PsdCertificate:
                             verdict="NotPSD",
                             method="exact-factorization",
                             witness=witness,
-                            factor_pivots=factor,
                         )
             break
         d = W[piv][piv]
-        factor.append((piv, d))
         active.remove(piv)
         col = [(i, W[i][piv]) for i in active if W[i][piv]]
         for i, ci in col:
@@ -321,11 +316,7 @@ def is_psd_exact(rows: Sequence[Sequence[Fraction]]) -> PsdCertificate:
             Wp = W[piv]
             for j in active:
                 Wi[j] -= fi * Wp[j]
-    return PsdCertificate(
-        verdict="PSD",
-        method="exact-factorization",
-        factor_pivots=factor,
-    )
+    return PsdCertificate(verdict="PSD", method="exact-factorization")
 
 
 def principal_minors_psd(rows: Sequence[Sequence[Fraction]]) -> bool:

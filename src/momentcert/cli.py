@@ -60,6 +60,7 @@ from .lattice import (
     LatticeError,
     LatticeVector,
     SubsetIndex,
+    json_int,
     rat,
     rat_str,
     to_pseudo_probabilities,
@@ -114,7 +115,7 @@ def _load(path: str, parse: Callable[[Any], T]) -> T:
 
 
 def _parse_moments(data: dict) -> LatticeVector:
-    n = int(data["n"])
+    n = json_int(data["n"])
     entries = {
         SubsetIndex.parse(label, n).bits: rat(value)
         for label, value in data["values"].items()

@@ -42,6 +42,7 @@ from .lattice import (
     SubsetIndex,
     enumerate_subsets,
     from_pseudo_probabilities,
+    json_int,
     max_ground_size,
     rat,
     rat_str,
@@ -278,10 +279,11 @@ def lift_solution(y: LatticeVector, t: int) -> LatticeVector:
     n = y.n
     if n + 1 > max_ground_size():
         raise GapError("lifting would exceed the ground-set cap")
-    low = (1 << n) - 1
-    dense = y.to_dense()
-    lifted = [dense[mask & low] for mask in range(1 << (n + 1))]
-    return LatticeVector.from_dense(n + 1, MOMENTS, lifted)
+    new = 1 << n
+    lifted: dict[int, Fraction] = {}
+    for mask, val in y.items():
+        lifted[mask] = lifted[mask | new] = val
+    return LatticeVector(n + 1, MOMENTS, lifted)
 
 
 def trace_bound_check(n: int, P: RationalLike, y: LatticeVector) -> TraceBoundReport:
@@ -435,10 +437,11 @@ def verify_mkp(instance: MkpInstance, t: int) -> GapReport:
 
     The moment matrix and the cardinality matrix reduce to nonnegative
     diagonals, so the recipe settles them by disks alone. Each block
-    demand matrix goes through the recipe and, separately, the exact
-    oracle; the oracle entries are what feasibility is read from when
-    the recipe stays inconclusive. The gap compares the forced integral
-    cost (one item per block) against the cardinality cap.
+    demand matrix goes through the recipe and the exact oracle; when the
+    recipe fell back to the oracle, that decision is the oracle entry, so
+    no matrix is decided twice. Feasibility is read from the oracle
+    entries. The gap compares the forced integral cost (one item per
+    block) against the cardinality cap.
     """
     p = mkp_uniform_solution(instance, t)
     moment_cert = certify_recipe(from_pseudo(p, t + 1))
@@ -455,7 +458,12 @@ def verify_mkp(instance: MkpInstance, t: int) -> GapReport:
     for label, g in targets:
         zform = from_pseudo(constraint_diagonal(g, p), t)
         recipe = certify_recipe(zform)
-        oracle = is_psd_exact(assemble(zform))
+        if recipe.recipe_conclusive:
+            oracle = is_psd_exact(assemble(zform))
+        else:
+            oracle = PsdCertificate(
+                recipe.verdict, recipe.method, witness=recipe.witness
+            )
         certificates.append((label, recipe))
         certificates.append((f"{label}-oracle", oracle))
         verdicts.append(oracle.verdict)
@@ -785,17 +793,17 @@ def instance_from_json(data: dict) -> Instance:
         raise GapError(f"malformed instance payload: {exc}") from exc
     try:
         if family == "knapsack":
-            return build_knapsack(int(params["n"]), rat(params["P"]))
+            return build_knapsack(json_int(params["n"]), rat(params["P"]))
         if family == "mkp":
             return build_mkp(
-                int(params["blocks"]),
-                int(params["items_per_block"]),
+                json_int(params["blocks"]),
+                json_int(params["items_per_block"]),
                 rat(params["eps"]),
-                int(params["T"]),
+                json_int(params["T"]),
             )
         if family == "schedule":
             return build_schedule(
-                int(params["n"]), rat(params["k"]), rat(params["P"])
+                json_int(params["n"]), rat(params["k"]), rat(params["P"])
             )
     except LatticeError:  # the builders' own errors, kept as raised
         raise

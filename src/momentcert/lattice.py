@@ -65,6 +65,17 @@ def rat(value: RationalLike) -> Fraction:
     raise LatticeError(f"not a rational: {value!r}")
 
 
+def json_int(value: object) -> int:
+    """An integer field of a JSON payload, taken only as a JSON integer.
+
+    Floats, booleans and strings raise TypeError instead of being
+    truncated or converted, so each parser reports them as malformed.
+    """
+    if type(value) is not int:
+        raise TypeError(f"not an integer: {value!r}")
+    return value
+
+
 def rat_str(value: RationalLike) -> str:
     """Canonical text form: 'p/q' in lowest terms with q > 0, or a bare int."""
     q = rat(value)
@@ -177,12 +188,12 @@ def _mask_of(index: Union[SubsetIndex, int], n: int) -> int:
 class LatticeVector:
     """Exact rational vector indexed by subsets of {1..n}.
 
-    Entries absent from the backing store read as zero. Small vectors keep a
-    sparse mask->value map; once more than half the lattice is populated the
-    store switches to a dense list of length 2^n.
+    The store is a mask->value map of the nonzero entries; absent masks
+    read as zero. from_dense and to_dense convert to and from the 2^n
+    lists the transforms work on.
     """
 
-    __slots__ = ("n", "kind", "_dense", "_sparse")
+    __slots__ = ("n", "kind", "_entries")
 
     def __init__(
         self,
@@ -205,63 +216,40 @@ class LatticeVector:
                 store[mask] = val
             else:
                 store.pop(mask, None)
-        self._dense: Union[list[Fraction], None]
-        self._sparse: Union[dict[int, Fraction], None]
-        if len(store) > (1 << n) // 2:
-            dense = [Fraction(0)] * (1 << n)
-            for mask, val in store.items():
-                dense[mask] = val
-            self._dense = dense
-            self._sparse = None
-        else:
-            self._dense = None
-            self._sparse = store
+        self._entries = store
 
     @classmethod
     def from_dense(cls, n: int, kind: str, values: list[Fraction]) -> "LatticeVector":
         if len(values) != (1 << n):
             raise LatticeError("dense vector has wrong length")
         vec = cls(n, kind)
-        vec._sparse = None
-        vec._dense = [rat(v) for v in values]
+        vec._entries = {m: q for m, q in enumerate(map(rat, values)) if q}
         return vec
 
     def get(self, index: Union[SubsetIndex, int]) -> Fraction:
-        mask = _mask_of(index, self.n)
-        if self._dense is not None:
-            return self._dense[mask]
-        return self._sparse.get(mask, Fraction(0))
+        return self._entries.get(_mask_of(index, self.n), Fraction(0))
 
     __getitem__ = get
 
     def items(self) -> Iterator[tuple[int, Fraction]]:
         """Nonzero (mask, value) pairs in graded order."""
-        if self._dense is not None:
-            pairs = [(m, v) for m, v in enumerate(self._dense) if v]
-        else:
-            pairs = list(self._sparse.items())
-        pairs.sort(key=lambda mv: (mv[0].bit_count(), mv[0]))
+        pairs = sorted(self._entries.items(), key=lambda mv: (mv[0].bit_count(), mv[0]))
         return iter(pairs)
 
     def to_dense(self) -> list[Fraction]:
-        if self._dense is not None:
-            return list(self._dense)
         out = [Fraction(0)] * (1 << self.n)
-        for mask, val in self._sparse.items():
+        for mask, val in self._entries.items():
             out[mask] = val
         return out
 
     def nonzero_count(self) -> int:
-        if self._dense is not None:
-            return sum(1 for v in self._dense if v)
-        return len(self._sparse)
+        return len(self._entries)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LatticeVector):
             return NotImplemented
-        if self.n != other.n or self.kind != other.kind:
-            return False
-        return dict(self.items()) == dict(other.items())
+        mine = (self.n, self.kind, self._entries)
+        return mine == (other.n, other.kind, other._entries)
 
     def __repr__(self) -> str:
         return (

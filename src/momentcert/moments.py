@@ -33,6 +33,7 @@ from .lattice import (
     SubsetIndex,
     enumerate_subsets,
     from_pseudo_probabilities,
+    json_int,
     rat,
     rat_str,
     to_pseudo_probabilities,
@@ -61,16 +62,6 @@ class MomentMatrix:
         if any(len(r) != size for r in self.rows) or len(self.rows) != size:
             raise LatticeError("moment matrix is not square over its index")
 
-    def entry(
-        self, I: Union[SubsetIndex, int], J: Union[SubsetIndex, int]
-    ) -> Fraction:
-        pos = {s.bits: k for k, s in enumerate(self.index)}
-        ib = I.bits if isinstance(I, SubsetIndex) else I
-        jb = J.bits if isinstance(J, SubsetIndex) else J
-        if ib not in pos or jb not in pos:
-            raise LatticeError("subset not in the matrix index")
-        return self.rows[pos[ib]][pos[jb]]
-
     def to_json_dict(self) -> dict:
         return {
             "n": self.n,
@@ -82,8 +73,8 @@ class MomentMatrix:
     @classmethod
     def from_json_dict(cls, data: dict) -> "MomentMatrix":
         try:
-            n = int(data["n"])
-            t = int(data["t"])
+            n = json_int(data["n"])
+            t = json_int(data["t"])
             order = data["order"]
             rows = data["rows"]
         except (KeyError, TypeError, ValueError) as exc:
@@ -194,11 +185,7 @@ def full_diagonalize(w: LatticeVector) -> tuple[LatticeVector, bool]:
             f"full diagonalization is limited to n <= {ZETA_BLOCK_MAX_N}"
         )
     p = to_pseudo_probabilities(w)
-    back = from_pseudo_probabilities(p)
-    wd = w.to_dense()
-    bd = back.to_dense()
-    verified = wd == bd
-    return p, verified
+    return p, from_pseudo_probabilities(p) == w
 
 
 def constraint_diagonal(
@@ -261,18 +248,12 @@ def extract_distribution(
     for g in constraints:
         if g.n != y.n:
             raise LatticeError("constraint over a different ground set")
-    p = to_pseudo_probabilities(y)
-    dense = p.to_dense()
-    order = sorted(range(1 << y.n), key=lambda m: (m.bit_count(), m))
     support: list[tuple[SubsetIndex, Fraction]] = []
-    for mask in order:
-        val = dense[mask]
+    for mask, val in to_pseudo_probabilities(y).items():
         if val < 0:
             return DistributionExtraction(
                 False, None, (SubsetIndex(mask, y.n), val), "negative-weight"
             )
-        if val == 0:
-            continue
         for g in constraints:
             gval = g.value_at(mask)
             if gval < 0:

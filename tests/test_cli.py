@@ -110,7 +110,11 @@ def test_decompose_rejects_malformed_values(tmp_path, capsys):
         ("--input", {"n": 2, "values": {"{}": "1/0"}}),
         ("--input", {"n": 2, "values": []}),
         ("--instance", {"family": "mkp", "params": dict(MKP_PARAMS, blocks="x")}),
+        ("--instance", {"family": "mkp", "params": dict(MKP_PARAMS, blocks=3.7)}),
     ]
+    # integer fields take JSON integers only: no truncation, no coercion
+    for n in (2.9, True, "2"):
+        inputs.append(("--input", {"n": n, "values": {"{}": "1"}}))
     for flag, payload in inputs:
         src = write(tmp_path / "in.json", payload)
         assert main(["decompose", flag, src, "--level", "1", "--out", str(out)]) == 2
@@ -237,8 +241,9 @@ def test_certify_rejects_forms_decompose_cannot_write(tmp_path, capsys):
         "support": [["{}", "-1"], ["{1}", "2"], ["{2}", "1"]],
     }
     out = tmp_path / "cert.json"
-    for term in (low_term, bent_term):
-        payload = dict(strategy_adf_payload(), terms=[term])
+    payloads = [dict(strategy_adf_payload(), terms=[term]) for term in (low_term, bent_term)]
+    payloads.append(dict(strategy_adf_payload(), t=1.5))
+    for payload in payloads:
         src = write(tmp_path / "form.json", payload)
         assert main(["certify", "--adf", src, "--out", str(out)]) == 2
     assert not out.exists()

@@ -333,9 +333,12 @@ def test_instance_json_rejects_unknown_family():
         instance_from_json({"family": "matching", "params": {}})
     with pytest.raises(GapError):
         instance_from_json({"params": {}})
+    mkp_params = {"blocks": 3, "items_per_block": 2, "eps": "1/16", "T": 2}
+    for blocks in ("x", 3.7, "3", True):
+        with pytest.raises(GapError):
+            instance_from_json({"family": "mkp", "params": dict(mkp_params, blocks=blocks)})
     with pytest.raises(GapError):
-        mkp_params = {"blocks": "x", "items_per_block": 2, "eps": "1/16", "T": 2}
-        instance_from_json({"family": "mkp", "params": mkp_params})
+        instance_from_json({"family": "knapsack", "params": {"n": 2.0, "P": "32"}})
 
 
 def test_gap_report_json_shape():

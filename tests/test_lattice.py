@@ -99,15 +99,23 @@ def test_vector_zero_default_and_eq():
 
 
 def test_vector_dense_and_sparse_agree():
+    # 7 of 8 entries nonzero: well over half the lattice
     entries = {m: F(m + 1, 3) for m in range(7)}
-    sparse = LatticeVector(3, MOMENTS, {0b001: F(2, 3)})
-    dense = LatticeVector(3, MOMENTS, entries)
-    assert dense._dense is not None
-    assert sparse._sparse is not None
-    assert dense.to_dense()[0b110] == F(7, 3)
+    mapped = LatticeVector(3, MOMENTS, entries)
+    values = [F(m + 1, 3) for m in range(7)] + [F(0)]
+    dense = LatticeVector.from_dense(3, MOMENTS, values)
+    assert mapped == dense
+    assert all(mapped.get(m) == dense.get(m) == values[m] for m in range(8))
+    assert list(mapped.items()) == list(dense.items())
     assert [m for m, _ in dense.items()] == sorted(
         range(7), key=lambda m: (m.bit_count(), m)
     )
+    assert mapped.to_dense() == dense.to_dense() == values
+    assert mapped.nonzero_count() == dense.nonzero_count() == 7
+    # from_dense counts no zeros and takes no floats
+    assert LatticeVector.from_dense(3, MOMENTS, [F(0)] * 7 + [F(1)]).nonzero_count() == 1
+    with pytest.raises(LatticeError):
+        LatticeVector.from_dense(2, MOMENTS, [F(1), 0.5, F(0), F(0)])
 
 
 def test_vector_rejects_floats():

@@ -77,6 +77,9 @@ def test_moment_matrix_json_roundtrip():
     again = MomentMatrix.from_json_dict(m.to_json_dict())
     assert again.n == m.n and again.t == m.t
     assert again.rows == m.rows
+    for field, bad in (("n", 2.0), ("t", True)):
+        with pytest.raises(LatticeError):
+            MomentMatrix.from_json_dict(dict(m.to_json_dict(), **{field: bad}))
 
 
 def test_moment_matrix_level_bounds():
