@@ -48,7 +48,6 @@ from .gaps import (
     build_schedule,
     find_min_feasible_P,
     instance_from_json,
-    instance_solution,
     instance_to_json,
     knapsack_constraint,
     knapsack_integral_optimum,

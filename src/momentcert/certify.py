@@ -227,8 +227,9 @@ class PsdCertificate:
     """Outcome of a certification run.
 
     verdict is "PSD", "NotPSD", or "Inconclusive" (the last one only from
-    the disks-only mode, which cannot refute). recipe_conclusive is False
-    when the pivot recipe gave up and the exact oracle decided instead.
+    the disks-only mode, which cannot refute). method names the layer that
+    decided: "gershgorin-recipe" for the disks, "exact-factorization" for
+    the oracle.
     """
 
     verdict: str
@@ -236,9 +237,13 @@ class PsdCertificate:
     schedule: list[PivotStep] = field(default_factory=list)
     final_disks: Union[GershgorinReport, None] = None
     witness: Union[list[Fraction], None] = None
-    recipe_conclusive: bool = True
     row_labels: Union[list[str], None] = None
     trace_matrices: list[Matrix] = field(default_factory=list)
+
+    @property
+    def recipe_conclusive(self) -> bool:
+        """Whether the disks proved PSD, so the oracle was never needed."""
+        return self.verdict == "PSD" and self.method == "gershgorin-recipe"
 
     def to_json_dict(self, include_trace: bool = False) -> dict:
         disks = []
@@ -381,9 +386,9 @@ def certify_recipe(
     pass or two consecutive pivots fail to improve the worst margin.
 
     Either way a failed recipe falls back to the exact oracle on the
-    assembled matrix, with recipe_conclusive set to False. The disks are
-    read once per state of the working matrix, and both certificates
-    carry the last reading.
+    assembled matrix, and the certificate names the oracle as its method.
+    The disks are read once per state of the working matrix, and both
+    certificates carry the last reading.
     """
     state = PivotState(form)
     for H, S in schedule or ():
@@ -434,7 +439,6 @@ def certify_recipe(
         is_psd_exact(assemble(form)),
         schedule=state.trace,
         final_disks=disks,
-        recipe_conclusive=False,
         row_labels=state.labels(),
         trace_matrices=state.snapshots,
     )
@@ -444,11 +448,11 @@ def certify_matrix(rows: Sequence[Sequence[Fraction]]) -> PsdCertificate:
     """Certify a raw symmetric matrix: the disks first, then the exact oracle.
 
     There are no rank-one terms to pivot, so a failed disk pass goes
-    straight to is_psd_exact, with recipe_conclusive set to False.
+    straight to is_psd_exact.
     """
     disks = gershgorin(rows)
     if disks.all_nonnegative:
         return PsdCertificate(
             verdict="PSD", method="gershgorin-recipe", final_disks=disks
         )
-    return replace(is_psd_exact(rows), final_disks=disks, recipe_conclusive=False)
+    return replace(is_psd_exact(rows), final_disks=disks)

@@ -20,6 +20,12 @@ Exit codes partition the outcomes:
 
 main() alone maps errors to these codes; the commands catch nothing.
 
+Rationals, in input files and on the command line alike, are written
+as an optional sign, ASCII digits and an optional "/digits": "3",
+"-7/2". Exponents, decimal points and underscores are refused, exit 2
+in an input file and 3 on the command line. decompose --instance
+decomposes the instance family's own closed-form solution at --level.
+
 certify --gershgorin-only reads the disks once and stops, for a raw
 matrix (--matrix) and for an almost-diagonal form (--adf, assembled
 first) alike: PSD when every disk passes, Inconclusive (exit 1)
@@ -50,7 +56,6 @@ from .gaps import (
     build_schedule,
     find_min_feasible_P,
     instance_from_json,
-    instance_solution,
     verify_knapsack_level,
     verify_mkp,
     verify_schedule,
@@ -150,7 +155,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         p = to_pseudo_probabilities(_load(args.input, _parse_moments))
     else:
         instance = _load(args.instance, instance_from_json)
-        p = instance_solution(instance, args.level)
+        p = instance.solution(args.level)
     form = from_pseudo(p, args.level)
     _write_json(args.out, form.to_json_dict())
     _run_report(
@@ -185,12 +190,10 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
     if args.gershgorin_only:
         report = gershgorin(assemble(form) if form is not None else rows)
-        settled = report.all_nonnegative
         cert = PsdCertificate(
-            verdict="PSD" if settled else "Inconclusive",
+            verdict="PSD" if report.all_nonnegative else "Inconclusive",
             method="gershgorin-recipe",
             final_disks=report,
-            recipe_conclusive=settled,
         )
     elif form is not None:
         schedule = None

@@ -49,10 +49,6 @@ from .lattice import (
 )
 from .moments import constraint_diagonal, shift, to_pseudo_probabilities
 
-# Dense transforms allocate 2^N rationals; above this many ground elements
-# the verifiers stay on the sparse pseudo-probability side throughout.
-DENSE_TRANSFORM_MAX_N = 20
-
 # Largest ground set the brute-force integral optima will enumerate.
 BRUTE_FORCE_MAX_VARS = 20
 
@@ -80,14 +76,17 @@ class GapReport:
     not serialized.
     """
 
-    family: str
-    params: dict
+    instance: Instance
     level: int
-    feasible: bool
     gap: Fraction
     objective: Fraction
     certificates: list[tuple[str, PsdCertificate]]
     extras: dict = field(default_factory=dict)
+
+    @property
+    def feasible(self) -> bool:
+        """The solution is feasible at this level: every listed matrix is PSD."""
+        return all(cert.verdict == "PSD" for _, cert in self.certificates)
 
     def certificate(self, target: str) -> PsdCertificate:
         for label, cert in self.certificates:
@@ -102,7 +101,7 @@ class GapReport:
             entry.update(cert.to_json_dict(include_trace=include_trace))
             certs.append(entry)
         return {
-            "instance": {"family": self.family, "params": dict(self.params)},
+            "instance": instance_to_json(self.instance),
             "level": self.level,
             "feasible": self.feasible,
             "gap": rat_str(self.gap),
@@ -138,12 +137,18 @@ class KnapsackGapInstance:
     n: int
     P: Fraction
 
+    family = "knapsack"
+
+    def params(self) -> dict:
+        return {"n": self.n, "P": rat_str(self.P)}
+
+    def solution(self, t: int) -> LatticeVector:
+        """The closed-form solution; it is the same at every level t."""
+        return knapsack_solution(self.n, self.P)
+
     @property
     def demand(self) -> Fraction:
         return 1 / self.P
-
-    def constraint(self) -> ConstraintPolynomial:
-        return knapsack_constraint(self.n, self.P)
 
     def lifted_constraint(self) -> ConstraintPolynomial:
         """Covering constraint of the lifted instance, over n + 1 items.
@@ -228,10 +233,10 @@ def verify_knapsack_level(n: int, P: RationalLike) -> GapReport:
     """
     if n < 2:
         raise GapError(f"level verification needs n >= 2, got {n}")
-    Pq = rat(P)
-    p = knapsack_solution(n, Pq)
+    instance = build_knapsack(n, P)
+    p = instance.solution(n - 1)
     y = from_pseudo_probabilities(p)
-    g = knapsack_constraint(n, Pq)
+    g = knapsack_constraint(n, instance.P)
 
     moment_cert = certify_recipe(decompose(y, n))
 
@@ -243,14 +248,9 @@ def verify_knapsack_level(n: int, P: RationalLike) -> GapReport:
     oracle = is_psd_exact(assemble(zform))
 
     objective = relaxation_objective(p)
-    feasible = all(
-        cert.verdict == "PSD" for cert in (moment_cert, recipe, oracle)
-    )
     return GapReport(
-        family="knapsack",
-        params={"n": n, "P": rat_str(Pq)},
+        instance=instance,
         level=n - 1,
-        feasible=feasible,
         gap=1 / objective,
         objective=objective,
         certificates=[
@@ -355,6 +355,19 @@ class MkpInstance:
     eps: Fraction
     T: int
 
+    family = "mkp"
+
+    def params(self) -> dict:
+        return {
+            "blocks": self.blocks,
+            "items_per_block": self.items_per_block,
+            "eps": rat_str(self.eps),
+            "T": self.T,
+        }
+
+    def solution(self, t: int) -> LatticeVector:
+        return mkp_uniform_solution(self, t)
+
     @property
     def n_items(self) -> int:
         return self.blocks * self.items_per_block
@@ -439,17 +452,14 @@ def verify_mkp(instance: MkpInstance, t: int) -> GapReport:
     diagonals, so the recipe settles them by disks alone. Each block
     demand matrix goes through the recipe and the exact oracle; when the
     recipe fell back to the oracle, that decision is the oracle entry, so
-    no matrix is decided twice. Feasibility is read from the oracle
-    entries. The gap compares the forced integral cost (one item per
-    block) against the cardinality cap.
+    no matrix is decided twice. The gap compares the forced integral cost
+    (one item per block) against the cardinality cap.
     """
     p = mkp_uniform_solution(instance, t)
     moment_cert = certify_recipe(from_pseudo(p, t + 1))
     certificates: list[tuple[str, PsdCertificate]] = [
         ("moment-matrix", moment_cert)
     ]
-    verdicts = [moment_cert.verdict]
-
     targets = [("cardinality", instance.cardinality_constraint())]
     targets += [
         (f"demand-{b}", instance.demand_constraint(b))
@@ -466,20 +476,11 @@ def verify_mkp(instance: MkpInstance, t: int) -> GapReport:
             )
         certificates.append((label, recipe))
         certificates.append((f"{label}-oracle", oracle))
-        verdicts.append(oracle.verdict)
 
     objective = relaxation_objective(p)
-    feasible = all(v == "PSD" for v in verdicts)
     return GapReport(
-        family="mkp",
-        params={
-            "blocks": instance.blocks,
-            "items_per_block": instance.items_per_block,
-            "eps": rat_str(instance.eps),
-            "T": instance.T,
-        },
+        instance=instance,
         level=t,
-        feasible=feasible,
         gap=Fraction(instance.blocks, instance.T),
         objective=objective,
         extras={"p": p},
@@ -505,6 +506,15 @@ class ScheduleInstance:
     n: int
     k: Fraction
     P: Fraction
+
+    family = "schedule"
+
+    def params(self) -> dict:
+        return {"n": self.n, "k": rat_str(self.k), "P": rat_str(self.P)}
+
+    def solution(self, t: int) -> LatticeVector:
+        """The uniform solution over P_{n/k}; it is the same at every level t."""
+        return schedule_solution(self)
 
     @property
     def jobs(self) -> int:
@@ -608,8 +618,7 @@ def _sparse_moment_rows(
 
     Entry (I, J) is the superset sum of the pseudo-probabilities over
     I union J; iterating the nonzero pseudo entries per matrix entry
-    avoids any dense 2^N pass, which matters once N passes
-    DENSE_TRANSFORM_MAX_N.
+    avoids any dense 2^N pass over the job set.
     """
     index = enumerate_subsets(zp.n, t)
     nonzero = list(zp.items())
@@ -653,38 +662,24 @@ def verify_schedule(instance: ScheduleInstance) -> GapReport:
     """
     p = schedule_solution(instance)
     cap = instance.level_cap
-    if instance.jobs <= DENSE_TRANSFORM_MAX_N:
-        y = from_pseudo_probabilities(p)
-        moment_form = decompose(y, cap)
-    else:
-        moment_form = from_pseudo(p, cap)
+    moment_form = decompose(from_pseudo_probabilities(p), cap)
     moment_cert = certify_recipe(moment_form)
     certificates: list[tuple[str, PsdCertificate]] = [
         ("moment-matrix", moment_cert)
     ]
-    verdicts = [moment_cert.verdict]
 
     cardinality_form = from_pseudo(
         constraint_diagonal(instance.cardinality_constraint(), p), cap - 1
     )
     cardinality_cert = certify_recipe(cardinality_form)
     certificates.append(("cardinality", cardinality_cert))
-    verdicts.append(cardinality_cert.verdict)
-
     for level, cert in enumerate(_covering_certificates(instance, p), start=1):
         certificates.append((f"covering-{level}", cert))
-        verdicts.append(cert.verdict)
 
     objective = relaxation_objective(p)
     return GapReport(
-        family="schedule",
-        params={
-            "n": instance.n,
-            "k": rat_str(instance.k),
-            "P": rat_str(instance.P),
-        },
+        instance=instance,
         level=cap - 1,
-        feasible=all(v == "PSD" for v in verdicts),
         gap=Fraction(instance.n) / Fraction(instance.level_cap),
         objective=objective,
         extras={
@@ -762,27 +757,7 @@ Instance = Union[KnapsackGapInstance, MkpInstance, ScheduleInstance]
 
 
 def instance_to_json(instance: Instance) -> dict:
-    if isinstance(instance, KnapsackGapInstance):
-        params: dict = {"n": instance.n, "P": rat_str(instance.P)}
-        family = "knapsack"
-    elif isinstance(instance, MkpInstance):
-        params = {
-            "blocks": instance.blocks,
-            "items_per_block": instance.items_per_block,
-            "eps": rat_str(instance.eps),
-            "T": instance.T,
-        }
-        family = "mkp"
-    elif isinstance(instance, ScheduleInstance):
-        params = {
-            "n": instance.n,
-            "k": rat_str(instance.k),
-            "P": rat_str(instance.P),
-        }
-        family = "schedule"
-    else:
-        raise GapError(f"not an instance: {instance!r}")
-    return {"family": family, "params": params}
+    return {"family": instance.family, "params": instance.params()}
 
 
 def instance_from_json(data: dict) -> Instance:
@@ -811,15 +786,3 @@ def instance_from_json(data: dict) -> Instance:
         raise GapError(f"malformed instance payload: {exc}") from exc
     raise GapError(f"unknown instance family {family!r}")
 
-
-def instance_solution(instance: Instance, t: Union[int, None] = None) -> LatticeVector:
-    """The family's closed-form pseudo-probability solution."""
-    if isinstance(instance, KnapsackGapInstance):
-        return knapsack_solution(instance.n, instance.P)
-    if isinstance(instance, MkpInstance):
-        if t is None:
-            raise GapError("mkp solutions need an explicit level")
-        return mkp_uniform_solution(instance, t)
-    if isinstance(instance, ScheduleInstance):
-        return schedule_solution(instance)
-    raise GapError(f"not an instance: {instance!r}")

@@ -18,6 +18,7 @@ p_S. Both run in-place on a dense array in O(n * 2^n).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -45,23 +46,31 @@ def max_ground_size() -> int:
 
 RationalLike = Union[int, str, Fraction]
 
+# An optional sign, ASCII digits, and an optional "/" with ASCII digits.
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
 
 def rat(value: RationalLike) -> Fraction:
     """Coerce an int, Fraction, or 'p/q' string to an exact Fraction.
 
     Floats are rejected: a binary float that leaked into a certificate
     would defeat the exactness guarantee, so the caller must convert
-    explicitly if that is really intended.
+    explicitly if that is really intended. Strings take the text form
+    only: exponents, decimal points, underscores and non-ASCII digits
+    are refused, so no short string can stand for a huge integer.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        try:
-            return Fraction(value.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise LatticeError(f"not a rational: {value!r}") from exc
+        match = _RATIONAL.fullmatch(value.strip())
+        if match is not None:
+            num, den = match.groups()
+            try:
+                return Fraction(int(num), int(den or 1))
+            except (ValueError, ZeroDivisionError) as exc:
+                raise LatticeError(f"not a rational: {value!r}") from exc
     raise LatticeError(f"not a rational: {value!r}")
 
 
@@ -108,14 +117,6 @@ class SubsetIndex:
 
     def members(self) -> tuple[int, ...]:
         return tuple(i + 1 for i in range(self.n) if self.bits >> i & 1)
-
-    def union(self, other: "SubsetIndex") -> "SubsetIndex":
-        if other.n != self.n:
-            raise LatticeError("union of subsets over different ground sets")
-        return SubsetIndex(self.bits | other.bits, self.n)
-
-    def complement(self) -> "SubsetIndex":
-        return SubsetIndex(~self.bits & ((1 << self.n) - 1), self.n)
 
     def issubset(self, other: "SubsetIndex") -> bool:
         return self.bits & ~other.bits == 0

@@ -177,10 +177,19 @@ class ReplayResult:
     eps: Fraction
     form: AlmostDiagonalForm
     certificate: PsdCertificate
-    stages: list[Matrix]
-    final_disks: GershgorinReport
-    matches: bool
     mismatches: list[dict]
+
+    @property
+    def stages(self) -> list[Matrix]:
+        return self.certificate.trace_matrices
+
+    @property
+    def final_disks(self) -> GershgorinReport:
+        return self.certificate.final_disks
+
+    @property
+    def matches(self) -> bool:
+        return len(self.stages) == len(REDUCTION_STAGES) and not self.mismatches
 
     def to_json_dict(self) -> dict:
         labels = ["{}"] + [f"{{{i}}}" for i in range(1, 7)]
@@ -210,10 +219,9 @@ def replay_demand_reduction(eps: RationalLike) -> ReplayResult:
     instance = canonical_instance(e)
     form = normalized_demand_form(instance)
     cert = certify_recipe(form, schedule=canonical_schedule())
-    stages = cert.trace_matrices
     golden = stage_matrices(e)
     mismatches = []
-    for si, (got, want) in enumerate(zip(stages, golden), start=1):
+    for si, (got, want) in enumerate(zip(cert.trace_matrices, golden), start=1):
         for i in range(7):
             for j in range(7):
                 if got[i][j] != want[i][j]:
@@ -226,13 +234,4 @@ def replay_demand_reduction(eps: RationalLike) -> ReplayResult:
                             "expected": rat_str(want[i][j]),
                         }
                     )
-    matches = len(stages) == len(golden) and not mismatches
-    return ReplayResult(
-        eps=e,
-        form=form,
-        certificate=cert,
-        stages=stages,
-        final_disks=cert.final_disks,
-        matches=matches,
-        mismatches=mismatches,
-    )
+    return ReplayResult(eps=e, form=form, certificate=cert, mismatches=mismatches)

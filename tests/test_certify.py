@@ -243,7 +243,10 @@ def test_recipe_greedy_settles_the_strategy_form():
     ]
     assert cert.final_disks.centers == [F(2, 3), F(5, 3), F(2, 3)]
     assert cert.final_disks.radii == [F(2, 3), F(2, 3), F(2, 3)]
-    assert is_psd_exact(assemble(STRATEGY)).verdict == "PSD"
+    oracle = is_psd_exact(assemble(STRATEGY))
+    assert oracle.verdict == "PSD"
+    # the oracle decided, not the disks
+    assert not oracle.recipe_conclusive
 
 
 def test_recipe_explicit_schedule_matches_greedy_here():

@@ -1,15 +1,21 @@
 """End-to-end command-line behavior, driven through main()."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import momentcert
 from momentcert import assemble, from_pseudo, normalized_demand_form
+from momentcert import build_mkp, build_schedule, mkp_uniform_solution, schedule_solution
 from momentcert import canonical_instance, stage_matrices
 from momentcert import cli
 from momentcert.cli import main
@@ -87,6 +93,18 @@ def test_decompose_instance_file(tmp_path, capsys):
     (term,) = data["terms"]
     assert term["J"] == "{1,2}" and term["coeff"] == "4/63"
 
+    # each family hands over its own closed-form solution
+    cases = [
+        ({"family": "mkp", "params": MKP_PARAMS},
+         mkp_uniform_solution(build_mkp(3, 2, "1/16", 2), 1)),
+        ({"family": "schedule", "params": {"n": 2, "k": "1", "P": "3"}},
+         schedule_solution(build_schedule(2, 1, 3))),
+    ]
+    for payload, p in cases:
+        src = write(tmp_path / "inst.json", payload)
+        assert main(["decompose", "--instance", src, "--level", "1", "--out", str(out)]) == 0
+        assert read(out) == from_pseudo(p, 1).to_json_dict()
+
 
 MKP_PARAMS = {"blocks": 3, "items_per_block": 2, "eps": "1/16", "T": 2}
 
@@ -111,6 +129,8 @@ def test_decompose_rejects_malformed_values(tmp_path, capsys):
         ("--input", {"n": 2, "values": []}),
         ("--instance", {"family": "mkp", "params": dict(MKP_PARAMS, blocks="x")}),
         ("--instance", {"family": "mkp", "params": dict(MKP_PARAMS, blocks=3.7)}),
+        # an exponent stands for a huge integer; only p/q is accepted
+        ("--input", {"n": 2, "values": {"{}": "1e5000"}}),
     ]
     # integer fields take JSON integers only: no truncation, no coercion
     for n in (2.9, True, "2"):
@@ -228,7 +248,7 @@ def test_certify_rejects_schedule_on_raw_matrix(tmp_path, capsys):
 def test_certify_rejects_garbage_json(tmp_path, capsys):
     src = tmp_path / "m.json"
     out = tmp_path / "cert.json"
-    for text in ("not json", '{"rows": 5}'):
+    for text in ("not json", '{"rows": 5}', '{"rows": [["1e5000"]]}'):
         src.write_text(text, encoding="utf-8")
         assert main(["certify", "--matrix", str(src), "--out", str(out)]) == 2
 
@@ -450,3 +470,147 @@ def test_artifacts_are_byte_identical_across_reruns(tmp_path, capsys):
             == 0
         )
     assert g1.read_bytes() == g2.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# fuzzed input files: every payload exits 0-4, never with a traceback
+# ---------------------------------------------------------------------------
+
+# Sizes stay within -2..5 (mkp and schedule sizes lower still), so no
+# example allocates more than a few hundred entries.
+SMALL = st.integers(-2, 5)
+RATIONALS = st.one_of(
+    st.integers(-9, 9).map(str),
+    st.builds(lambda p, q: f"{p}/{q}", st.integers(-9, 9), st.integers(-1, 9)),
+    st.sampled_from(["1e5000", "1e-3", "2E3", "0.5", "1_0", "\u0661", "", " ", "1/2/3", "x"]),
+)
+LABELS = st.lists(st.integers(-1, 6), max_size=4).map(
+    lambda xs: "{" + ",".join(map(str, xs)) + "}"
+)
+JUNK = st.recursive(
+    st.one_of(st.none(), st.booleans(), SMALL, st.floats(), RATIONALS, LABELS),
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=3),
+        st.dictionaries(st.one_of(LABELS, st.text(max_size=3)), kids, max_size=3),
+    ),
+    max_leaves=8,
+)
+FIELD = st.one_of(SMALL, RATIONALS, JUNK)
+
+MOMENT_PAYLOADS = st.one_of(
+    st.fixed_dictionaries(
+        {"n": st.one_of(SMALL, JUNK), "values": st.dictionaries(LABELS, FIELD, max_size=6)}
+    ),
+    JUNK,
+)
+INSTANCE_PAYLOADS = st.one_of(
+    st.fixed_dictionaries(
+        {
+            "family": st.sampled_from(["knapsack", "mkp", "schedule", "matching"]),
+            "params": st.fixed_dictionaries(
+                {},
+                optional={
+                    "n": st.one_of(st.integers(-2, 3), JUNK),
+                    "P": FIELD,
+                    "k": FIELD,
+                    "blocks": st.one_of(st.integers(-2, 3), JUNK),
+                    "items_per_block": st.one_of(st.integers(-2, 3), JUNK),
+                    "eps": FIELD,
+                    "T": st.one_of(SMALL, JUNK),
+                },
+            ),
+        }
+    ),
+    JUNK,
+)
+MATRIX_PAYLOADS = st.one_of(
+    st.integers(0, 4).flatmap(
+        lambda size: st.lists(
+            st.lists(RATIONALS, min_size=size, max_size=size), min_size=size, max_size=size
+        )
+    ).map(lambda rows: {"rows": [[rows[min(i, j)][max(i, j)] for j in range(len(rows))]
+                                  for i in range(len(rows))]}),
+    st.fixed_dictionaries({"rows": JUNK}),
+    JUNK,
+)
+SCHEDULE_PAYLOADS = st.one_of(
+    st.lists(st.fixed_dictionaries({"H": LABELS, "S": LABELS}), max_size=3),
+    JUNK,
+)
+
+
+@st.composite
+def adf_payloads(draw):
+    """A form decompose can write, with at most one field replaced by junk."""
+    n = draw(st.integers(1, 3))
+    t = draw(st.integers(0, n))
+    values = draw(st.lists(st.integers(-3, 3), min_size=1 << n, max_size=1 << n))
+    p = LatticeVector(n, PSEUDO_PROBABILITIES, dict(enumerate(values)))
+    payload = from_pseudo(p, t).to_json_dict()
+    target = draw(st.sampled_from([None, "n", "t", "diag", "terms", "term"]))
+    if target == "term" and payload["terms"]:
+        term = draw(st.sampled_from(payload["terms"]))
+        term[draw(st.sampled_from(["J", "coeff", "support"]))] = draw(FIELD)
+    elif target in payload:
+        payload[target] = draw(FIELD)
+    return payload
+
+
+def run_fuzzed(argv, files):
+    """main(argv) with each {name} in argv replaced by a file holding files[name]."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, payload in files.items():
+            paths[name] = os.path.join(tmp, name)
+            with open(paths[name], "w", encoding="utf-8") as fh:
+                json.dump(payload, fh)
+        argv = [a.format(out=os.path.join(tmp, "out.json"), **paths) for a in argv]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert 0 <= code <= 4, err.getvalue()
+    assert "Traceback" not in err.getvalue()
+
+
+FUZZ = settings(max_examples=120, deadline=None)
+
+
+@FUZZ
+@given(MOMENT_PAYLOADS, SMALL)
+def test_fuzzed_moments_file_exits_cleanly(payload, level):
+    run_fuzzed(
+        ["decompose", "--input", "{y}", "--level", str(level), "--out", "{out}"],
+        {"y": payload},
+    )
+
+
+@FUZZ
+@given(INSTANCE_PAYLOADS, SMALL)
+def test_fuzzed_instance_file_exits_cleanly(payload, level):
+    run_fuzzed(
+        ["decompose", "--instance", "{inst}", "--level", str(level), "--out", "{out}"],
+        {"inst": payload},
+    )
+
+
+@FUZZ
+@given(adf_payloads(), st.booleans())
+def test_fuzzed_adf_file_exits_cleanly(payload, disks_only):
+    argv = ["certify", "--adf", "{form}", "--out", "{out}"]
+    run_fuzzed(argv + ["--gershgorin-only"] * disks_only, {"form": payload})
+
+
+@FUZZ
+@given(MATRIX_PAYLOADS, st.booleans())
+def test_fuzzed_matrix_file_exits_cleanly(payload, disks_only):
+    argv = ["certify", "--matrix", "{m}", "--out", "{out}"]
+    run_fuzzed(argv + ["--gershgorin-only"] * disks_only, {"m": payload})
+
+
+@FUZZ
+@given(SCHEDULE_PAYLOADS)
+def test_fuzzed_schedule_file_exits_cleanly(payload):
+    run_fuzzed(
+        ["certify", "--adf", "{form}", "--schedule", "{sched}", "--out", "{out}"],
+        {"form": strategy_adf_payload(), "sched": payload},
+    )

@@ -34,7 +34,9 @@ def test_rat_accepts_int_str_fraction():
     assert rat(" 5/10 ") == F(1, 2)
 
 
-@pytest.mark.parametrize("bad", [1.5, "1/0", "abc", None, [1]])
+@pytest.mark.parametrize(
+    "bad", [1.5, "1/0", "abc", None, [1], "1e5000", "0.5", "1_0"]
+)
 def test_rat_rejects_nonrationals(bad):
     with pytest.raises(LatticeError):
         rat(bad)
