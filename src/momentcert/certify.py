@@ -10,9 +10,9 @@ preserves congruence, so a disk pass after any pivot sequence certifies the
 original matrix once the remaining unfolded terms are all PSD themselves.
 
 When no pivot sequence settles the question, is_psd_exact decides it by
-exact symmetric elimination over the rationals: a bare PSD verdict when
-every pivot stays nonnegative, and an explicit rational witness v with
-v^T A v < 0 otherwise.
+exact symmetric elimination over the rationals on one triangle: a bare PSD
+verdict when every pivot stays nonnegative, and otherwise an explicit
+rational witness v with v^T A v < 0, rebuilt from the recorded multipliers.
 """
 
 from __future__ import annotations
@@ -268,60 +268,56 @@ class PsdCertificate:
 def is_psd_exact(rows: Sequence[Sequence[Fraction]]) -> PsdCertificate:
     """Exact PSD decision by symmetric elimination over the rationals.
 
-    Pivots on the largest positive diagonal entry; a negative diagonal at
-    any point yields an immediate witness, and an all-zero diagonal with a
-    nonzero off-diagonal entry yields the two-coordinate witness e_i -+ e_j
-    whose sign is chosen against the offending entry. Witness vectors are
-    carried back to the original coordinates through the accumulated row
-    operations.
+    Pivots on the largest positive diagonal entry and updates one triangle
+    (W[i][j] with i <= j) over the nonzero entries of the pivot row only. A
+    negative diagonal at any point yields the witness e_r, and an all-zero
+    diagonal with a nonzero off-diagonal entry yields e_i -+ e_j with the
+    sign chosen against the offending entry. Each step records its row
+    multipliers, and only a NotPSD verdict rebuilds the witness from them,
+    in the original coordinates.
     """
     W = _check_symmetric(rows)
-    size = len(W)
-    basis = [
-        [Fraction(1) if i == j else Fraction(0) for j in range(size)]
-        for i in range(size)
-    ]
-    active = list(range(size))
+    active = list(range(len(W)))
+    steps: list[tuple[int, list[tuple[int, Fraction]]]] = []
     while active:
         neg = next((i for i in active if W[i][i] < 0), None)
         if neg is not None:
-            return PsdCertificate(
-                verdict="NotPSD",
-                method="exact-factorization",
-                witness=basis[neg],
-            )
+            return _not_psd(steps, len(W), {neg: 1})
         piv = max(active, key=lambda i: W[i][i])
-        if W[piv][piv] == 0:
-            # Every remaining diagonal is zero; PSD forces the block to vanish.
-            for i in active:
-                for j in active:
-                    if i != j and W[i][j] != 0:
-                        sign = 1 if W[i][j] > 0 else -1
-                        witness = [
-                            a - sign * b for a, b in zip(basis[i], basis[j])
-                        ]
-                        return PsdCertificate(
-                            verdict="NotPSD",
-                            method="exact-factorization",
-                            witness=witness,
-                        )
-            break
         d = W[piv][piv]
+        if d == 0:
+            # Every remaining diagonal is zero; PSD forces the block to vanish.
+            for k, i in enumerate(active):
+                j = next((j for j in active[k + 1:] if W[i][j]), None)
+                if j is not None:
+                    return _not_psd(steps, len(W), {i: 1, j: -1 if W[i][j] > 0 else 1})
+            break
         active.remove(piv)
-        col = [(i, W[i][piv]) for i in active if W[i][piv]]
-        for i, ci in col:
-            m = -ci / d
-            brow = basis[piv]
-            bi = basis[i]
-            for k in range(size):
-                bi[k] += m * brow[k]
-        for i, ci in col:
-            fi = ci / d
+        col = [(i, W[i][piv] if i < piv else W[piv][i]) for i in active]
+        col = [(i, c) for i, c in col if c]
+        mults = [(i, -c / d) for i, c in col]
+        for k, (i, m) in enumerate(mults):
             Wi = W[i]
-            Wp = W[piv]
-            for j in active:
-                Wi[j] -= fi * Wp[j]
+            for j, c in col[k:]:
+                Wi[j] += m * c
+        steps.append((piv, mults))
     return PsdCertificate(verdict="PSD", method="exact-factorization")
+
+
+def _not_psd(
+    steps: list[tuple[int, list[tuple[int, Fraction]]]], size: int, reduced: dict[int, int]
+) -> PsdCertificate:
+    """NotPSD with the witness u^T E_k...E_1, where u (e_r or e_i -+ e_j) is given by reduced.
+
+    Step s is E_s = I + sum_i m_i e_i e_piv^T (row i += m_i row piv), so
+    multiplying u^T on the right by the steps last-first adds sum_i m_i u_i
+    to u_piv; the result is the same combination of the rows of E, and
+    u^T (E A E^T) u < 0 is the value the reduced matrix showed.
+    """
+    u = [Fraction(reduced.get(i, 0)) for i in range(size)]
+    for piv, mults in reversed(steps):
+        u[piv] += sum(m * u[i] for i, m in mults if u[i])
+    return PsdCertificate(verdict="NotPSD", method="exact-factorization", witness=u)
 
 
 def principal_minors_psd(rows: Sequence[Sequence[Fraction]]) -> bool:

@@ -258,7 +258,7 @@ def verify_knapsack_level(n: int, P: RationalLike) -> GapReport:
             ("covering", recipe),
             ("covering-oracle", oracle),
         ],
-        extras={"y_pseudo": p, "z_pseudo": zp, "constraint": g},
+        extras={"y_pseudo": p},
     )
 
 
@@ -483,7 +483,6 @@ def verify_mkp(instance: MkpInstance, t: int) -> GapReport:
         level=t,
         gap=Fraction(instance.blocks, instance.T),
         objective=objective,
-        extras={"p": p},
         certificates=certificates,
     )
 
@@ -682,10 +681,7 @@ def verify_schedule(instance: ScheduleInstance) -> GapReport:
         level=cap - 1,
         gap=Fraction(instance.n) / Fraction(instance.level_cap),
         objective=objective,
-        extras={
-            "p": p,
-            "moment_terms_empty": not moment_form.terms,
-        },
+        extras={"moment_terms_empty": not moment_form.terms},
         certificates=certificates,
     )
 

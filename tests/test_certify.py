@@ -4,6 +4,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momentcert import (
     MOMENTS,
@@ -227,6 +229,69 @@ def test_minor_scan_agrees_with_the_oracle():
         assert principal_minors_psd(rows) == (
             is_psd_exact(rows).verdict == "PSD"
         )
+
+
+# NotPSD only after 4 pivots, by a negative diagonal.
+LATE_NEGATIVE = [
+    [8, 5, 0, -1, -3, -4],
+    [5, 6, -3, 1, 0, -6],
+    [0, -3, 7, 3, 0, 0],
+    [-1, 1, 3, 5, 0, 3],
+    [-3, 0, 0, 0, 7, 0],
+    [-4, -6, 0, 3, 0, 7],
+]
+# NotPSD only after 3 pivots, by the all-zero-diagonal block on rows 0 and 2.
+LATE_ZERO_BLOCK = [
+    [2108, 0, 298, 4320, -6480],
+    [0, 38880, 2160, 12960, -23760],
+    [298, 2160, 1823, -4320, 4320],
+    [4320, 12960, -4320, 38880, -19440],
+    [-6480, -23760, 4320, -19440, 34560],
+]
+
+
+def test_oracle_witness_is_the_elimination_basis_row():
+    # The witnesses are the rows e_r E and (e_i - e_j) E of the accumulated
+    # elimination E, as a full basis matrix carried through every step gives them.
+    cases = [
+        (LATE_NEGATIVE, ["-11/31", "1", "3/7", "0", "-33/217", "142/217"], F(-214, 217)),
+        (LATE_ZERO_BLOCK, ["1", "61/144", "-1", "-37/432", "5/9"], F(-4320)),
+    ]
+    for rows, witness, value in cases:
+        rows = frac_matrix(rows)
+        cert = is_psd_exact(rows)
+        assert cert.verdict == "NotPSD"
+        assert cert.witness == [F(v) for v in witness]
+        assert quad_eval(rows, cert.witness) == value
+
+
+@st.composite
+def sparse_symmetric(draw):
+    """A Gram matrix of a sparse factor, then symmetric bumps, zero rows and zero diagonals."""
+    size = draw(st.integers(1, 8))
+    entry = st.sampled_from([0, 0, 0, 0, 1, -1, 2, F(-1, 2), F(3, 2)])
+    factor = draw(st.lists(st.lists(entry, min_size=size, max_size=size), min_size=1, max_size=size))
+    rows = [[F(sum(b[i] * b[j] for b in factor)) for j in range(size)] for i in range(size)]
+    index = st.integers(0, size - 1)
+    for i, j, delta in draw(st.lists(st.tuples(index, index, st.sampled_from([-2, -1, 1])), max_size=3)):
+        rows[i][j] += delta
+        if i != j:
+            rows[j][i] += delta
+    for i in draw(st.sets(index, max_size=3)):
+        for j in range(size):
+            rows[i][j] = rows[j][i] = F(0)
+    for i in draw(st.sets(index, max_size=3)):
+        rows[i][i] = F(0)
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_symmetric())
+def test_oracle_agrees_with_minors_on_sparse_matrices(rows):
+    cert = is_psd_exact(rows)
+    assert (cert.verdict == "PSD") == principal_minors_psd(rows)
+    if cert.verdict == "NotPSD":
+        assert quad_eval(rows, cert.witness) < 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,75 @@
+"""Wall time of the exact oracle is_psd_exact on fixed inputs.
+
+    python3 tools/oracle_timing.py
+
+Run from anywhere in a source checkout; it imports momentcert from the
+checkout's src/. The inputs are the knapsack covering forms at level n - 1
+for n = 5, 6, 7 with P = 2^(2n+1) (all PSD), and one perturbed adf form:
+the level-2 moment matrix of a seeded measure on {0,1}^8 (as in perfbench's
+adf workload) with one singleton moment made negative, which is NotPSD.
+Each line gives the input, its dimension, the bit length of its largest
+numerator or denominator, the verdict and the median of 3 timed runs (1
+run at n = 7). Matrices are built before the clock starts.
+"""
+
+from __future__ import annotations
+
+import os
+import random
+import statistics
+import sys
+import time
+from fractions import Fraction
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+
+from momentcert.adf import assemble, from_pseudo  # noqa: E402
+from momentcert.certify import is_psd_exact  # noqa: E402
+from momentcert.gaps import build_knapsack, knapsack_constraint  # noqa: E402
+from momentcert.lattice import MOMENTS, LatticeVector  # noqa: E402
+from momentcert.moments import constraint_diagonal, to_pseudo_probabilities  # noqa: E402
+import workloads  # noqa: E402
+
+ADF_N = 8
+ADF_SEED = 5
+
+
+def knapsack_covering(n: int) -> list[list[Fraction]]:
+    P = 2 ** (2 * n + 1)
+    p = build_knapsack(n, P).solution(n - 1)
+    return assemble(from_pseudo(constraint_diagonal(knapsack_constraint(n, P), p), n - 1))
+
+
+def perturbed_adf() -> list[list[Fraction]]:
+    rng = random.Random(ADF_SEED)
+    numer, total = workloads.measure_moments(rng, ADF_N)
+    numer[1 << rng.randrange(ADF_N)] = -rng.randint(1, 9)
+    w = LatticeVector(ADF_N, MOMENTS, {m: Fraction(v, total) for m, v in enumerate(numer)})
+    return assemble(from_pseudo(to_pseudo_probabilities(w), workloads.ADF_LEVEL))
+
+
+def max_bits(rows: list[list[Fraction]]) -> int:
+    return max(max(abs(v.numerator).bit_length(), v.denominator.bit_length())
+               for row in rows for v in row)
+
+
+def main() -> int:
+    inputs = [(f"knapsack-covering n={n}", knapsack_covering(n), 1 if n == 7 else 3)
+              for n in (5, 6, 7)]
+    inputs.append((f"adf-perturbed n={ADF_N} t={workloads.ADF_LEVEL}", perturbed_adf(), 3))
+    print(f"{'input':<28} {'dim':>5} {'bits':>5} {'verdict':>7} {'seconds':>9}")
+    for name, rows, runs in inputs:
+        times = []
+        for _ in range(runs):
+            start = time.perf_counter()
+            verdict = is_psd_exact(rows).verdict
+            times.append(time.perf_counter() - start)
+        print(f"{name:<28} {len(rows):>5} {max_bits(rows):>5} {verdict:>7} "
+              f"{statistics.median(times):>9.4f}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
