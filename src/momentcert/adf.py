@@ -13,6 +13,10 @@ vector supported on the subsets of J of cardinality at most t:
 The congruence A(t) * (that sum) * A(t)^T recovers M_t(w) once the tail
 diagonal block B(t) * Diag(p restricted above t) * B(t)^T is added back.
 Terms whose coefficient p_J is zero contribute nothing and are dropped.
+
+The form is fixed by p and t, so from_pseudo is the one builder: decompose
+and the JSON reader both go through it, and it enumerates P_t once per
+form and hands that index to g_vector for every term.
 """
 
 from __future__ import annotations
@@ -47,29 +51,24 @@ def choose(m: int, k: int) -> int:
     return math.comb(m, k)
 
 
-def g_vector(J: SubsetIndex, t: int) -> list[Fraction]:
-    """The rank-one support vector G(J) over P_t(N) in graded order.
+def g_vector(J: SubsetIndex, index: Sequence[SubsetIndex]) -> list[Fraction]:
+    """The rank-one support vector G(J) over the caller's P_t index.
 
-    Only defined for |J| >= t + 1; below that the term would collide with
-    the diagonal part, so it is rejected as an invalid argument.
+    index is P_t(N) in graded order, as enumerate_subsets builds it, and t
+    is the cardinality of its last subset. G(J) is only defined for
+    |J| >= t + 1; below that the term would collide with the diagonal
+    part, so it is rejected as an invalid argument.
     """
-    if J.cardinality <= t:
-        raise AdfError(
-            f"term set {J} has cardinality {J.cardinality}, needs more than t={t}"
-        )
-    index = enumerate_subsets(J.n, t)
+    t = index[-1].cardinality
     jbits = J.bits
     jcard = J.cardinality
-    return [
-        Fraction(0) if I.bits & ~jbits else Fraction(g_entry(jcard, I.cardinality, t))
-        for I in index
+    if jcard <= t:
+        raise AdfError(f"term set {J} has cardinality {jcard}, needs more than t={t}")
+    # G(J)_I = (-1)^(t - |I|) * C(|J| - |I| - 1, t - |I|) for I inside J.
+    by_card = [
+        Fraction((-1) ** (t - i) * choose(jcard - i - 1, t - i)) for i in range(t + 1)
     ]
-
-
-def g_entry(jcard: int, icard: int, t: int) -> int:
-    """G(J)_I for I inside J: (-1)^(t - |I|) * C(|J| - |I| - 1, t - |I|)."""
-    mag = choose(jcard - icard - 1, t - icard)
-    return -mag if (t - icard) & 1 else mag
+    return [Fraction(0) if I.bits & ~jbits else by_card[I.cardinality] for I in index]
 
 
 def add_rank_one(
@@ -115,11 +114,6 @@ class AlmostDiagonalForm:
         self.index = list(index)
         self.diag = list(diag)
         self.terms = list(terms)
-        if len(self.diag) != len(self.index):
-            raise AdfError("diagonal length does not match the index")
-        for term in self.terms:
-            if len(term.g_vec) != len(self.index):
-                raise AdfError(f"term {term.J} support has wrong length")
 
     def size(self) -> int:
         return len(self.index)
@@ -145,7 +139,15 @@ class AlmostDiagonalForm:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "AlmostDiagonalForm":
-        """Parse a payload, checking every term against G(J) as decompose builds it."""
+        """Read a payload back as the form from_pseudo builds for it.
+
+        The payload states a pseudo-probability vector: diag gives p on P_t
+        and each term's coeff gives p_J above t. The form is from_pseudo of
+        that vector. It is accepted only if decompose could have written
+        it: every label is listed once, no coefficient is zero, and each
+        term's support equals the G(J) built here as a set of (subset,
+        value) pairs, in any order.
+        """
         try:
             n = json_int(data["n"])
             t = json_int(data["t"])
@@ -155,45 +157,35 @@ class AlmostDiagonalForm:
             raise AdfError(f"malformed almost-diagonal payload: {exc}") from exc
         if not isinstance(diag_map, dict) or not isinstance(terms_raw, list):
             raise AdfError("malformed almost-diagonal payload: diag or terms")
-        index = enumerate_subsets(n, t)
-        pos = {s.bits: k for k, s in enumerate(index)}
-        diag = [Fraction(0)] * len(index)
+        stated: dict[int, Fraction] = {}
         for key, value in diag_map.items():
             s = SubsetIndex.parse(key, n)
-            if s.bits not in pos:
-                raise AdfError(f"diagonal label {key} outside P_t")
-            diag[pos[s.bits]] = rat(value)
-        terms = []
+            if s.cardinality > t or s.bits in stated:
+                raise AdfError(f"diagonal label {key} is outside P_t or listed twice")
+            stated[s.bits] = rat(value)
+        supports: dict[int, list[tuple[int, Fraction]]] = {}
         for item in terms_raw:
             try:
                 J = SubsetIndex.parse(item["J"], n)
                 coeff = rat(item["coeff"])
-                pairs = [
-                    (SubsetIndex.parse(label, n), rat(value))
+                support = sorted(
+                    (SubsetIndex.parse(label, n).bits, rat(value))
                     for label, value in item["support"]
-                ]
+                )
             except (KeyError, TypeError, ValueError) as exc:
                 raise AdfError(f"malformed rank-one term: {exc}") from exc
-            jcard = J.cardinality
-            if jcard <= t:
+            if J.cardinality <= t:
                 raise AdfError(f"term set {J} needs more than t={t} elements")
-            # Every entry of G(J) on the subsets of J up to size t is nonzero,
-            # so the support must list exactly those subsets, once each.
-            vec = [Fraction(0)] * len(index)
-            for s, value in pairs:
-                k = pos.get(s.bits)
-                if (
-                    k is None
-                    or s.bits & ~J.bits
-                    or vec[k]
-                    or value != g_entry(jcard, s.cardinality, t)
-                ):
-                    raise AdfError(f"support entry {s} of term {J} does not match G(J)")
-                vec[k] = value
-            if len(pairs) != sum(choose(jcard, i) for i in range(t + 1)):
-                raise AdfError(f"support of term {J} misses entries of G(J)")
-            terms.append(RankOneTerm(J, coeff, vec))
-        return cls(n, t, index, diag, terms)
+            if not coeff or J.bits in stated:
+                raise AdfError(f"term {J} has coefficient zero or is listed twice")
+            stated[J.bits] = coeff
+            supports[J.bits] = support
+        form = from_pseudo(LatticeVector(n, PSEUDO_PROBABILITIES, stated), t)
+        for term in form.terms:
+            built = [(form.index[k].bits, v) for k, v in enumerate(term.g_vec) if v]
+            if supports[term.J.bits] != sorted(built):
+                raise AdfError(f"support of term {term.J} does not match G(J)")
+        return form
 
 
 def from_pseudo(p: LatticeVector, t: int) -> AlmostDiagonalForm:
@@ -212,7 +204,7 @@ def from_pseudo(p: LatticeVector, t: int) -> AlmostDiagonalForm:
             diag[pos[mask]] = val
         else:
             J = SubsetIndex(mask, p.n)
-            terms.append(RankOneTerm(J, val, g_vector(J, t)))
+            terms.append(RankOneTerm(J, val, g_vector(J, index)))
     return AlmostDiagonalForm(p.n, t, index, diag, terms)
 
 

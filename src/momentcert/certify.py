@@ -126,11 +126,9 @@ class PivotState:
     input form, which is what makes a final disk pass meaningful.
     """
 
-    __slots__ = ("n", "t", "index", "working", "terms", "trace", "snapshots")
+    __slots__ = ("index", "working", "terms", "trace", "snapshots")
 
     def __init__(self, form: AlmostDiagonalForm) -> None:
-        self.n = form.n
-        self.t = form.t
         self.index = list(form.index)
         size = len(self.index)
         self.working: Matrix = [[Fraction(0)] * size for _ in range(size)]

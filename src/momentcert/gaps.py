@@ -46,8 +46,9 @@ from .lattice import (
     max_ground_size,
     rat,
     rat_str,
+    to_pseudo_probabilities,
 )
-from .moments import constraint_diagonal, shift, to_pseudo_probabilities
+from .moments import constraint_diagonal
 
 # Largest ground set the brute-force integral optima will enumerate.
 BRUTE_FORCE_MAX_VARS = 20
@@ -300,27 +301,27 @@ def trace_bound_check(n: int, P: RationalLike, y: LatticeVector) -> TraceBoundRe
     if y.kind != MOMENTS or y.n != n:
         raise GapError("expected a moment vector over the instance items")
     Pq = rat(P)
-    g = knapsack_constraint(n, Pq)
-    z = shift(g, y)
-    zp = to_pseudo_probabilities(z)
+    p = to_pseudo_probabilities(y)
+    zp = constraint_diagonal(knapsack_constraint(n, Pq), p)
     form = from_pseudo(zp, n - 1)
     ground = SubsetIndex((1 << n) - 1, n)
     # The top term is kept even at coefficient zero, where from_pseudo drops
     # it: the congruence that clears it is what produces the trace identity,
     # fold or no fold.
     if not form.terms:
-        form.terms.append(RankOneTerm(ground, Fraction(0), g_vector(ground, n - 1)))
+        form.terms.append(RankOneTerm(ground, Fraction(0), g_vector(ground, form.index)))
     state = PivotState(form)
     pivot_reduce(state, ground, SubsetIndex(0, n))
     trace = sum((state.working[i][i] for i in range(form.size())), Fraction(0))
 
-    p_empty = to_pseudo_probabilities(y).get(0)
-    rhs = Pq * z.get(0) / ((1 << n) - 2)
+    # z_empty is the superset sum of the shifted pseudo-probabilities at {}.
+    z_empty = sum((val for _, val in zp.items()), Fraction(0))
+    rhs = Pq * z_empty / ((1 << n) - 2)
     oracle = is_psd_exact(assemble(form))
     return TraceBoundReport(
         trace=trace,
         bound_rhs=rhs,
-        bound_holds=p_empty <= rhs,
+        bound_holds=p.get(0) <= rhs,
         matrix_psd=oracle.verdict == "PSD",
     )
 

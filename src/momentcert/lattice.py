@@ -18,6 +18,7 @@ p_S. Both run in-place on a dense array in O(n * 2^n).
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,6 +30,10 @@ MOMENTS = "moments"
 PSEUDO_PROBABILITIES = "pseudo-probabilities"
 
 DEFAULT_MAX_GROUND = 24
+
+# Largest P_t that enumerate_subsets builds: the full P_n that ZetaBlock
+# materializes at its n = 12 cap.
+MAX_SUBSETS = 4096
 
 
 class LatticeError(ValueError):
@@ -157,11 +162,20 @@ class SubsetIndex:
 
 
 def enumerate_subsets(n: int, t: int) -> list[SubsetIndex]:
-    """All subsets of {1..n} with cardinality at most t, in graded order."""
+    """All subsets of {1..n} with cardinality at most t, in graded order.
+
+    This is the one place P_t is materialized, so its size is checked here,
+    before any subset is built: above MAX_SUBSETS it raises LatticeError.
+    """
     if n < 0 or n > max_ground_size():
         raise LatticeError(f"ground size {n} out of range")
     if not 0 <= t <= n:
         raise LatticeError(f"level {t} out of range for n={n}")
+    count = sum(math.comb(n, i) for i in range(t + 1))
+    if count > MAX_SUBSETS:
+        raise LatticeError(
+            f"P_{t} over n={n} has {count} subsets, above the limit of {MAX_SUBSETS}"
+        )
     out: list[SubsetIndex] = []
     for card in range(t + 1):
         masks = sorted(

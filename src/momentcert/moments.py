@@ -109,11 +109,7 @@ def moment_matrix(w: LatticeVector, t: int) -> MomentMatrix:
     if w.kind != MOMENTS:
         raise LatticeError("moment_matrix expects a moment vector")
     index = enumerate_subsets(w.n, t)
-    dense = w.to_dense()
-    rows = [
-        [dense[a.bits | b.bits] for b in index]
-        for a in index
-    ]
+    rows = [[w.get(a.bits | b.bits) for b in index] for a in index]
     return MomentMatrix(w.n, t, index, rows)
 
 
@@ -199,12 +195,7 @@ def constraint_diagonal(
     """
     if g.n != y.n:
         raise LatticeError("constraint and vector over different ground sets")
-    if y.kind == MOMENTS:
-        p = to_pseudo_probabilities(y)
-    elif y.kind == PSEUDO_PROBABILITIES:
-        p = y
-    else:  # pragma: no cover - kinds are validated at construction
-        raise LatticeError(f"unknown vector kind {y.kind!r}")
+    p = to_pseudo_probabilities(y) if y.kind == MOMENTS else y
     entries = {mask: g.value_at(mask) * val for mask, val in p.items()}
     return LatticeVector(y.n, PSEUDO_PROBABILITIES, entries)
 

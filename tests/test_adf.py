@@ -4,6 +4,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momentcert import (
     MOMENTS,
@@ -42,14 +44,14 @@ def matmul(a, b):
 
 
 def test_g_vector_one_above_level_is_signed_indicator():
-    g = g_vector(SubsetIndex(0b011, 3), 1)
+    g = g_vector(SubsetIndex(0b011, 3), enumerate_subsets(3, 1))
     # graded order over P_1({1,2,3}): {}, {1}, {2}, {3}
     assert g == [F(-1), F(1), F(1), F(0)]
 
 
 def test_g_vector_binomial_magnitudes():
-    g = g_vector(SubsetIndex(0b1111, 4), 2)
     index = enumerate_subsets(4, 2)
+    g = g_vector(SubsetIndex(0b1111, 4), index)
     expected = {0: F(3), 1: F(-2), 2: F(1)}
     for val, I in zip(g, index):
         assert val == expected[I.cardinality]
@@ -57,12 +59,13 @@ def test_g_vector_binomial_magnitudes():
 
 def test_g_vector_rejects_low_cardinality():
     with pytest.raises(AdfError):
-        g_vector(SubsetIndex(0b001, 3), 1)
+        g_vector(SubsetIndex(0b001, 3), enumerate_subsets(3, 1))
 
 
 def test_g_vector_vanishes_outside_the_set():
-    g = g_vector(SubsetIndex(0b0110, 4), 1)
-    for val, I in zip(g, enumerate_subsets(4, 1)):
+    index = enumerate_subsets(4, 1)
+    g = g_vector(SubsetIndex(0b0110, 4), index)
+    for val, I in zip(g, index):
         if I.bits & ~0b0110:
             assert val == 0
 
@@ -220,3 +223,50 @@ def test_adf_json_rejects_terms_decompose_cannot_write():
     for bad in bad_terms:
         with pytest.raises(AdfError):
             AlmostDiagonalForm.from_json_dict(dict(good, terms=[bad]))
+
+
+
+@st.composite
+def pseudo_and_level(draw):
+    n = draw(st.integers(1, 4))
+    t = draw(st.integers(0, n - 1))
+    values = draw(st.lists(st.integers(-3, 3), min_size=1 << n, max_size=1 << n))
+    return LatticeVector(n, PSEUDO_PROBABILITIES, dict(enumerate(values))), t
+
+
+@settings(max_examples=60, deadline=None)
+@given(pseudo_and_level(), st.data())
+def test_adf_json_reads_back_the_form_and_refuses_each_mutation(pt, draws):
+    p, t = pt
+    form = from_pseudo(p, t)
+    data = form.to_json_dict()
+    again = AlmostDiagonalForm.from_json_dict(data)
+    assert again.index == form.index and again.diag == form.diag
+    assert [(u.J, u.coefficient, u.g_vec) for u in again.terms] == [
+        (u.J, u.coefficient, u.g_vec) for u in form.terms
+    ]
+    reversed_supports = [dict(u, support=u["support"][::-1]) for u in data["terms"]]
+    reordered = AlmostDiagonalForm.from_json_dict(dict(data, terms=reversed_supports))
+    assert reordered.terms == again.terms
+    # the same diagonal label listed a second time as "{ 1}" next to "{1}"
+    label = draws.draw(st.sampled_from(sorted(data["diag"])))
+    respelled = {"{ " + label[1:]: data["diag"][label]}
+    mutants = [dict(data, diag=dict(data["diag"], **respelled))]
+    if data["terms"]:
+        k = draws.draw(st.integers(0, len(data["terms"]) - 1))
+        term = data["terms"][k]
+        support = term["support"]
+        e = draws.draw(st.integers(0, len(support) - 1))
+        changed = [support[e][0], str(F(support[e][1]) + 1)]
+        for bad in (
+            dict(term, support=support[:e] + [changed] + support[e + 1:]),
+            dict(term, support=support[:e] + support[e + 1:]),
+            dict(term, support=support + [support[e]]),
+            dict(term, coeff="0"),
+        ):
+            terms = data["terms"][:k] + [bad] + data["terms"][k + 1:]
+            mutants.append(dict(data, terms=terms))
+        mutants.append(dict(data, terms=data["terms"] + [term]))
+    for bad in mutants:
+        with pytest.raises(AdfError):
+            AlmostDiagonalForm.from_json_dict(bad)

@@ -269,6 +269,18 @@ def test_certify_rejects_forms_decompose_cannot_write(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_oversized_index_is_refused_before_it_is_built(tmp_path, capsys):
+    # P_24 over n = 24 has 2^24 subsets; both calls must fail on the count
+    # alone, before any subset is allocated.
+    out = tmp_path / "out.json"
+    src = write(tmp_path / "form.json", {"n": 24, "t": 24, "diag": {}, "terms": []})
+    assert main(["certify", "--adf", src, "--out", str(out)]) == 2
+    argv = ["gap", "mkp", "--eps", "1/16", "--T", "2", "--blocks", "4",
+            "--items-per-block", "6", "--level", "23", "--out", str(out)]
+    assert main(argv) == 3
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # certify: the worked five-pivot schedule
 # ---------------------------------------------------------------------------

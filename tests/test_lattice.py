@@ -81,6 +81,12 @@ def test_enumerate_subsets_graded_order():
     assert cards == sorted(cards)
 
 
+def test_enumerate_subsets_refuses_more_than_the_limit():
+    assert len(enumerate_subsets(12, 12)) == 4096
+    with pytest.raises(LatticeError):
+        enumerate_subsets(13, 13)
+
+
 def test_subset_ordering_matches_graded_enumeration():
     index = enumerate_subsets(4, 4)
     assert index == sorted(index)
