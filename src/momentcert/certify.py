@@ -95,7 +95,7 @@ def gershgorin(rows: Sequence[Sequence[Fraction]]) -> GershgorinReport:
     mat = _check_symmetric(rows)
     centers = [mat[i][i] for i in range(len(mat))]
     radii = [
-        sum((abs(v) for j, v in enumerate(row) if j != i), Fraction(0))
+        sum((abs(v) for j, v in enumerate(row) if v and j != i), Fraction(0))
         for i, row in enumerate(mat)
     ]
     return GershgorinReport(centers, radii)

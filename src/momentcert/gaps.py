@@ -40,6 +40,7 @@ from .lattice import (
     LatticeVector,
     RationalLike,
     SubsetIndex,
+    check_subset_count,
     enumerate_subsets,
     from_pseudo_probabilities,
     json_int,
@@ -235,6 +236,9 @@ def verify_knapsack_level(n: int, P: RationalLike) -> GapReport:
     if n < 2:
         raise GapError(f"level verification needs n >= 2, got {n}")
     instance = build_knapsack(n, P)
+    # decompose(y, n) below enumerates P_n: refuse its size before the
+    # solution and the transform build their 2^n lists.
+    check_subset_count(n, n)
     p = instance.solution(n - 1)
     y = from_pseudo_probabilities(p)
     g = knapsack_constraint(n, instance.P)

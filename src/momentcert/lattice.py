@@ -13,17 +13,22 @@ the alternating superset sum
     p_I = sum over S containing I of (-1)^(|S|-|I|) * w_S
 
 and the inverse is the plain superset sum w_I = sum over S containing I of
-p_S. Both run in-place on a dense array in O(n * 2^n).
+p_S. Both share one exact integer kernel: the entries are written as
+integer numerators over the common denominator L of the stored values,
+one superset pass per bit (O(n * 2^n) additions) runs over a dense list
+of Python ints by slice assignment, and each nonzero result x is read
+back as the reduced rational x / L.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Callable, Iterable, Iterator, Mapping, Union
 
 # Vector kinds carried by LatticeVector.
 MOMENTS = "moments"
@@ -161,11 +166,12 @@ class SubsetIndex:
         return cls(bits, n)
 
 
-def enumerate_subsets(n: int, t: int) -> list[SubsetIndex]:
-    """All subsets of {1..n} with cardinality at most t, in graded order.
+def check_subset_count(n: int, t: int) -> None:
+    """Refuse P_t over {1..n} when it has more than MAX_SUBSETS subsets.
 
-    This is the one place P_t is materialized, so its size is checked here,
-    before any subset is built: above MAX_SUBSETS it raises LatticeError.
+    Raises LatticeError for that and for an out-of-range n or t. Only
+    counts are computed, so callers can run it before they build anything
+    of size 2^n.
     """
     if n < 0 or n > max_ground_size():
         raise LatticeError(f"ground size {n} out of range")
@@ -176,6 +182,15 @@ def enumerate_subsets(n: int, t: int) -> list[SubsetIndex]:
         raise LatticeError(
             f"P_{t} over n={n} has {count} subsets, above the limit of {MAX_SUBSETS}"
         )
+
+
+def enumerate_subsets(n: int, t: int) -> list[SubsetIndex]:
+    """All subsets of {1..n} with cardinality at most t, in graded order.
+
+    This is the one place P_t is materialized; check_subset_count refuses
+    its size before any subset is built.
+    """
+    check_subset_count(n, t)
     out: list[SubsetIndex] = []
     for card in range(t + 1):
         masks = sorted(
@@ -204,8 +219,8 @@ class LatticeVector:
     """Exact rational vector indexed by subsets of {1..n}.
 
     The store is a mask->value map of the nonzero entries; absent masks
-    read as zero. from_dense and to_dense convert to and from the 2^n
-    lists the transforms work on.
+    read as zero. from_dense and to_dense convert to and from 2^n lists
+    of Fractions.
     """
 
     __slots__ = ("n", "kind", "_entries")
@@ -303,38 +318,53 @@ def pair_value(
     return total
 
 
-def _superset_moebius(a: list[Fraction], n: int) -> None:
+def _superset_transform(
+    vec: LatticeVector, op: Callable[[int, int], int], kind: str
+) -> LatticeVector:
+    """Apply a[S] = op(a[S], a[S + b]) for every bit b missing from S.
+
+    operator.sub gives the alternating superset sum, operator.add the plain
+    one. The entries are scaled to integer numerators over the common
+    denominator L of the stored values, so the pass adds Python ints; each
+    result is read back as the reduced rational Fraction(x, L). Each bit
+    is a round of slice assignments: one strided slice per offset below
+    the bit while there are no more of those than blocks of length 2*bit,
+    else one contiguous half per block, so no bit takes more than 2^(n/2)
+    assignments.
+    """
+    n = vec.n
+    size = 1 << n
+    L = math.lcm(*(q.denominator for q in vec._entries.values()))
+    a = [0] * size
+    for mask, q in vec._entries.items():
+        a[mask] = q.numerator * (L // q.denominator)
     for b in range(n):
         bit = 1 << b
-        for mask in range(1 << n):
-            if not mask & bit:
-                a[mask] -= a[mask | bit]
-
-
-def _superset_zeta(a: list[Fraction], n: int) -> None:
-    for b in range(n):
-        bit = 1 << b
-        for mask in range(1 << n):
-            if not mask & bit:
-                a[mask] += a[mask | bit]
+        step = bit << 1
+        if bit <= size // step:
+            for r in range(bit):
+                a[r::step] = map(op, a[r::step], a[r + bit :: step])
+        else:
+            for base in range(0, size, step):
+                mid = base + bit
+                a[base:mid] = map(op, a[base:mid], a[mid : base + step])
+    out = LatticeVector(n, kind)
+    out._entries = {mask: Fraction(x, L) for mask, x in enumerate(a) if x}
+    return out
 
 
 def to_pseudo_probabilities(w: LatticeVector) -> LatticeVector:
     """Full-lattice transform from moments to pseudo-probabilities."""
     if w.kind != MOMENTS:
         raise LatticeError("expected a moment vector")
-    dense = w.to_dense()
-    _superset_moebius(dense, w.n)
-    return LatticeVector.from_dense(w.n, PSEUDO_PROBABILITIES, dense)
+    return _superset_transform(w, operator.sub, PSEUDO_PROBABILITIES)
 
 
 def from_pseudo_probabilities(p: LatticeVector) -> LatticeVector:
     """Inverse transform: superset sums of the pseudo-probabilities."""
     if p.kind != PSEUDO_PROBABILITIES:
         raise LatticeError("expected a pseudo-probability vector")
-    dense = p.to_dense()
-    _superset_zeta(dense, p.n)
-    return LatticeVector.from_dense(p.n, MOMENTS, dense)
+    return _superset_transform(p, operator.add, MOMENTS)
 
 
 # ---------------------------------------------------------------------------

@@ -359,6 +359,23 @@ def test_gap_knapsack_rejects_bad_factor(tmp_path, capsys):
     assert main(["gap", "knapsack", "--n", "4", "--k", "0", "--out", str(out)]) == 3
 
 
+@pytest.mark.parametrize("n", [13, 24])
+def test_gap_knapsack_refuses_oversized_n_before_building(
+    n, tmp_path, capsys, monkeypatch
+):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a 2^n list was built before the size preflight")
+
+    for module in (momentcert.gaps, momentcert.lattice):
+        for name in ("from_pseudo_probabilities", "to_pseudo_probabilities"):
+            monkeypatch.setattr(module, name, unreachable)
+    monkeypatch.setattr(momentcert.gaps, "knapsack_solution", unreachable)
+    out = tmp_path / "report.json"
+    assert main(["gap", "knapsack", "--n", str(n), "--k", "1", "--out", str(out)]) == 3
+    assert "above the limit of 4096" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gap_mkp_exit_tracks_the_demand(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main(["gap", "mkp", "--eps", "1/16", "--T", "2", "--out", str(out)])

@@ -20,6 +20,7 @@ from momentcert import (
     rat_str,
     to_pseudo_probabilities,
 )
+from momentcert.lattice import check_subset_count
 
 
 # ---------------------------------------------------------------------------
@@ -85,6 +86,14 @@ def test_enumerate_subsets_refuses_more_than_the_limit():
     assert len(enumerate_subsets(12, 12)) == 4096
     with pytest.raises(LatticeError):
         enumerate_subsets(13, 13)
+
+
+def test_check_subset_count_refuses_only_above_the_limit():
+    check_subset_count(12, 12)
+    check_subset_count(24, 2)
+    for n, t in [(13, 13), (24, 24), (24, 4), (25, 1), (3, 4), (3, -1)]:
+        with pytest.raises(LatticeError):
+            check_subset_count(n, t)
 
 
 def test_subset_ordering_matches_graded_enumeration():
@@ -182,6 +191,64 @@ def test_transform_roundtrip(case):
     n, values = case
     w = LatticeVector.from_dense(n, MOMENTS, [F(v) for v in values])
     assert from_pseudo_probabilities(to_pseudo_probabilities(w)) == w
+
+
+# Denominators mix powers of one prime with coprime ones, so the common
+# denominator of a draw is rarely any single entry's denominator.
+_DENOMINATORS = [1, 2, 3, 4, 5, 7, 9, 11, 16, 27, 49, 97]
+
+
+def _sparse_vectors(kind):
+    def vector(n):
+        entry = st.builds(
+            F,
+            st.integers(min_value=-60, max_value=60),
+            st.sampled_from(_DENOMINATORS),
+        )
+        entries = st.dictionaries(
+            st.integers(min_value=0, max_value=(1 << n) - 1), entry, max_size=12
+        )
+        return entries.map(lambda e: (e, LatticeVector(n, kind, e)))
+
+    return st.integers(min_value=0, max_value=8).flatmap(vector)
+
+
+def _superset_sums(entries, alternating):
+    """Each mask's superset sum over the stored entries, one entry at a time."""
+    out = {}
+    for s_mask, val in entries.items():
+        sub = s_mask
+        while True:
+            sign = -1 if alternating and (s_mask ^ sub).bit_count() & 1 else 1
+            out[sub] = out.get(sub, F(0)) + sign * val
+            if sub == 0:
+                break
+            sub = (sub - 1) & s_mask
+    return {m: v for m, v in out.items() if v}
+
+
+@settings(max_examples=100, deadline=None)
+@given(_sparse_vectors(MOMENTS))
+def test_to_pseudo_is_the_alternating_superset_sum(case):
+    entries, w = case
+    expected = _superset_sums(entries, alternating=True)
+    p = to_pseudo_probabilities(w)
+    assert p.kind == PSEUDO_PROBABILITIES
+    assert dict(p.items()) == expected
+    assert p.nonzero_count() == len(expected)
+    assert from_pseudo_probabilities(p) == w
+
+
+@settings(max_examples=100, deadline=None)
+@given(_sparse_vectors(PSEUDO_PROBABILITIES))
+def test_from_pseudo_is_the_plain_superset_sum(case):
+    entries, p = case
+    expected = _superset_sums(entries, alternating=False)
+    w = from_pseudo_probabilities(p)
+    assert w.kind == MOMENTS
+    assert dict(w.items()) == expected
+    assert w.nonzero_count() == len(expected)
+    assert to_pseudo_probabilities(w) == p
 
 
 def test_transform_kind_checks():

@@ -1,15 +1,24 @@
-"""Wall time of the exact oracle is_psd_exact on fixed inputs.
+"""Wall time of the exact oracle is_psd_exact and of the lattice transforms.
 
     python3 tools/oracle_timing.py
 
 Run from anywhere in a source checkout; it imports momentcert from the
-checkout's src/. The inputs are the knapsack covering forms at level n - 1
-for n = 5, 6, 7 with P = 2^(2n+1) (all PSD), and one perturbed adf form:
-the level-2 moment matrix of a seeded measure on {0,1}^8 (as in perfbench's
-adf workload) with one singleton moment made negative, which is NotPSD.
-Each line gives the input, its dimension, the bit length of its largest
-numerator or denominator, the verdict and the median of 3 timed runs (1
-run at n = 7). Matrices are built before the clock starts.
+checkout's src/. The oracle inputs are the knapsack covering forms at level
+n - 1 for n = 5, 6, 7 with P = 2^(2n+1) (all PSD), and one perturbed adf
+form: the level-2 moment matrix of a seeded measure on {0,1}^8 (as in
+perfbench's adf workload) with one singleton moment made negative, which
+is NotPSD. Each oracle line gives the input, its dimension (size), the
+bit length of its largest numerator or denominator, the verdict and the
+median of 3 timed runs (1 run at n = 7). Matrices are built before the
+clock starts.
+
+The last line times the transform pair that verify_schedule runs:
+from_pseudo_probabilities and then, inside decompose,
+to_pseudo_probabilities, on the schedule solution for n = 4, k = 2,
+P = 20 (16 jobs, so 2^16 lattice entries). Its size is the entry count;
+it also gives the bit length of the largest numerator on either
+side, "exact" when the round trip returns the input, and the median of 3
+runs of the pair.
 """
 
 from __future__ import annotations
@@ -27,8 +36,13 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 from momentcert.adf import assemble, from_pseudo  # noqa: E402
 from momentcert.certify import is_psd_exact  # noqa: E402
-from momentcert.gaps import build_knapsack, knapsack_constraint  # noqa: E402
-from momentcert.lattice import MOMENTS, LatticeVector  # noqa: E402
+from momentcert.gaps import (  # noqa: E402
+    build_knapsack,
+    build_schedule,
+    knapsack_constraint,
+    schedule_solution,
+)
+from momentcert.lattice import MOMENTS, LatticeVector, from_pseudo_probabilities  # noqa: E402
 from momentcert.moments import constraint_diagonal, to_pseudo_probabilities  # noqa: E402
 import workloads  # noqa: E402
 
@@ -59,7 +73,7 @@ def main() -> int:
     inputs = [(f"knapsack-covering n={n}", knapsack_covering(n), 1 if n == 7 else 3)
               for n in (5, 6, 7)]
     inputs.append((f"adf-perturbed n={ADF_N} t={workloads.ADF_LEVEL}", perturbed_adf(), 3))
-    print(f"{'input':<28} {'dim':>5} {'bits':>5} {'verdict':>7} {'seconds':>9}")
+    print(f"{'input':<28} {'size':>5} {'bits':>5} {'verdict':>7} {'seconds':>9}")
     for name, rows, runs in inputs:
         times = []
         for _ in range(runs):
@@ -68,7 +82,22 @@ def main() -> int:
             times.append(time.perf_counter() - start)
         print(f"{name:<28} {len(rows):>5} {max_bits(rows):>5} {verdict:>7} "
               f"{statistics.median(times):>9.4f}", flush=True)
+    print(transform_row(), flush=True)
     return 0
+
+
+def transform_row() -> str:
+    p = schedule_solution(build_schedule(4, 2, 20))
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        w = from_pseudo_probabilities(p)
+        back = to_pseudo_probabilities(w)
+        times.append(time.perf_counter() - start)
+    bits = max(abs(v.numerator).bit_length() for vec in (p, w) for _, v in vec.items())
+    verdict = "exact" if back == p else "DIFF"
+    return (f"{'transform-pair schedule n=4':<28} {1 << p.n:>5} {bits:>5} "
+            f"{verdict:>7} {statistics.median(times):>9.4f}")
 
 
 if __name__ == "__main__":
