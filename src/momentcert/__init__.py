@@ -14,7 +14,6 @@ from .adf import (
     AlmostDiagonalForm,
     RankOneTerm,
     assemble,
-    choose,
     decompose,
     from_pseudo,
     g_vector,

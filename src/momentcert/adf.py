@@ -44,13 +44,6 @@ class AdfError(LatticeError):
     """Invalid argument to an almost-diagonal-form operation."""
 
 
-def choose(m: int, k: int) -> int:
-    """Binomial coefficient extended by zero outside 0 <= k <= m."""
-    if k < 0 or m < 0 or k > m:
-        return 0
-    return math.comb(m, k)
-
-
 def g_vector(J: SubsetIndex, index: Sequence[SubsetIndex]) -> list[Fraction]:
     """The rank-one support vector G(J) over the caller's P_t index.
 
@@ -66,7 +59,7 @@ def g_vector(J: SubsetIndex, index: Sequence[SubsetIndex]) -> list[Fraction]:
         raise AdfError(f"term set {J} has cardinality {jcard}, needs more than t={t}")
     # G(J)_I = (-1)^(t - |I|) * C(|J| - |I| - 1, t - |I|) for I inside J.
     by_card = [
-        Fraction((-1) ** (t - i) * choose(jcard - i - 1, t - i)) for i in range(t + 1)
+        Fraction((-1) ** (t - i) * math.comb(jcard - i - 1, t - i)) for i in range(t + 1)
     ]
     return [Fraction(0) if I.bits & ~jbits else by_card[I.cardinality] for I in index]
 

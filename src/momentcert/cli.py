@@ -65,6 +65,7 @@ from .lattice import (
     LatticeError,
     LatticeVector,
     SubsetIndex,
+    check_subset_count,
     json_int,
     rat,
     rat_str,
@@ -152,7 +153,10 @@ def _parse_schedule(data: list, n: int) -> list[tuple[SubsetIndex, SubsetIndex]]
 def cmd_decompose(args: argparse.Namespace) -> int:
     started = time.monotonic()
     if args.input is not None:
-        p = to_pseudo_probabilities(_load(args.input, _parse_moments))
+        w = _load(args.input, _parse_moments)
+        # Refuse an oversized P_t before the 2^n transform runs.
+        check_subset_count(w.n, args.level)
+        p = to_pseudo_probabilities(w)
     else:
         instance = _load(args.instance, instance_from_json)
         p = instance.solution(args.level)

@@ -30,7 +30,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterator, Union
 
-from .adf import RankOneTerm, assemble, decompose, from_pseudo, g_vector
+from .adf import AlmostDiagonalForm, RankOneTerm, assemble, decompose, from_pseudo, g_vector
 from .certify import PivotState, PsdCertificate, certify_recipe, is_psd_exact, pivot_reduce
 from .lattice import (
     MOMENTS,
@@ -165,25 +165,21 @@ class KnapsackGapInstance:
         )
 
 
-def _check_knapsack_params(n: int, P: Fraction) -> None:
+def build_knapsack(n: int, P: RationalLike) -> KnapsackGapInstance:
+    """The one place the knapsack parameters are checked."""
+    Pq = rat(P)
     if n < 1:
         raise GapError(f"item count must be positive, got {n}")
     if n > max_ground_size():
         raise GapError(f"item count {n} exceeds the ground-set cap")
-    if P <= 1:
-        raise GapError(f"weight parameter must exceed 1, got {rat_str(P)}")
-
-
-def build_knapsack(n: int, P: RationalLike) -> KnapsackGapInstance:
-    Pq = rat(P)
-    _check_knapsack_params(n, Pq)
+    if Pq <= 1:
+        raise GapError(f"weight parameter must exceed 1, got {rat_str(Pq)}")
     return KnapsackGapInstance(n, Pq)
 
 
 def knapsack_constraint(n: int, P: RationalLike) -> ConstraintPolynomial:
     """The covering polynomial sum_i x_i - 1/P over n items."""
-    Pq = rat(P)
-    _check_knapsack_params(n, Pq)
+    Pq = build_knapsack(n, P).P
     weights = {i: 1 for i in range(1, n + 1)}
     return ConstraintPolynomial.linear(n, weights, constant=-1 / Pq)
 
@@ -195,8 +191,7 @@ def knapsack_solution(n: int, P: RationalLike) -> LatticeVector:
     leftover is negative the parameters cannot carry the solution and
     InfeasibleParametersError is raised. P >= 2^(2n+1) always suffices.
     """
-    Pq = rat(P)
-    _check_knapsack_params(n, Pq)
+    Pq = build_knapsack(n, P).P
     scale = Fraction(1 << n)
     entries: dict[int, Fraction] = {}
     total = Fraction(0)
@@ -224,6 +219,22 @@ def relaxation_objective(p: LatticeVector) -> Fraction:
     )
 
 
+def _recipe_and_oracle(
+    label: str, form: AlmostDiagonalForm, schedule: Union[list, None] = None
+) -> list[tuple[str, PsdCertificate]]:
+    """The (label, recipe) and (label-oracle, oracle) certificates of a form.
+
+    When the recipe fell back to the oracle, that decision is the oracle
+    entry, so no matrix is decided twice.
+    """
+    recipe = certify_recipe(form, schedule=schedule)
+    if recipe.recipe_conclusive:
+        oracle = is_psd_exact(assemble(form))
+    else:
+        oracle = PsdCertificate(recipe.verdict, recipe.method, witness=recipe.witness)
+    return [(label, recipe), (f"{label}-oracle", oracle)]
+
+
 def verify_knapsack_level(n: int, P: RationalLike) -> GapReport:
     """Certify the closed-form solution feasible at level n - 1.
 
@@ -245,12 +256,8 @@ def verify_knapsack_level(n: int, P: RationalLike) -> GapReport:
 
     moment_cert = certify_recipe(decompose(y, n))
 
-    zp = constraint_diagonal(g, p)
-    zform = from_pseudo(zp, n - 1)
-    ground = SubsetIndex((1 << n) - 1, n)
-    origin = SubsetIndex(0, n)
-    recipe = certify_recipe(zform, schedule=[(ground, origin)])
-    oracle = is_psd_exact(assemble(zform))
+    zform = from_pseudo(constraint_diagonal(g, p), n - 1)
+    fold_top = [(SubsetIndex((1 << n) - 1, n), SubsetIndex(0, n))]
 
     objective = relaxation_objective(p)
     return GapReport(
@@ -258,11 +265,8 @@ def verify_knapsack_level(n: int, P: RationalLike) -> GapReport:
         level=n - 1,
         gap=1 / objective,
         objective=objective,
-        certificates=[
-            ("moment-matrix", moment_cert),
-            ("covering", recipe),
-            ("covering-oracle", oracle),
-        ],
+        certificates=[("moment-matrix", moment_cert)]
+        + _recipe_and_oracle("covering", zform, fold_top),
         extras={"y_pseudo": p},
     )
 
@@ -330,20 +334,26 @@ def trace_bound_check(n: int, P: RationalLike, y: LatticeVector) -> TraceBoundRe
     )
 
 
-def knapsack_integral_optimum(n: int, P: RationalLike) -> int:
-    """Brute-force cheapest 0/1 point covering the demand (always one item)."""
+def _fewest_items(n: int, constraints: list[ConstraintPolynomial]) -> int:
+    """Brute-force fewest items of a 0/1 point meeting every constraint."""
     if n > BRUTE_FORCE_MAX_VARS:
         raise GapError(f"brute force is limited to {BRUTE_FORCE_MAX_VARS} items")
-    g = knapsack_constraint(n, P)
-    best: Union[int, None] = None
-    for mask in range(1 << n):
-        if g.value_at(mask) >= 0:
-            card = mask.bit_count()
-            if best is None or card < best:
-                best = card
+    best = min(
+        (
+            mask.bit_count()
+            for mask in range(1 << n)
+            if all(g.value_at(mask) >= 0 for g in constraints)
+        ),
+        default=None,
+    )
     if best is None:
-        raise InfeasibleParametersError("no integral point covers the demand")
+        raise InfeasibleParametersError("no integral point meets the constraints")
     return best
+
+
+def knapsack_integral_optimum(n: int, P: RationalLike) -> int:
+    """Brute-force cheapest 0/1 point covering the demand (always one item)."""
+    return _fewest_items(n, [knapsack_constraint(n, P)])
 
 
 # ---------------------------------------------------------------------------
@@ -433,21 +443,10 @@ def mkp_integral_optimum(instance: MkpInstance) -> int:
     With eps in (0,1) each block needs at least one item, so the value is
     the block count; the enumeration is the promised cross-check.
     """
-    n = instance.n_items
-    if n > BRUTE_FORCE_MAX_VARS:
-        raise GapError(f"brute force is limited to {BRUTE_FORCE_MAX_VARS} items")
     demands = [
         instance.demand_constraint(b) for b in range(1, instance.blocks + 1)
     ]
-    best: Union[int, None] = None
-    for mask in range(1 << n):
-        if all(g.value_at(mask) >= 0 for g in demands):
-            card = mask.bit_count()
-            if best is None or card < best:
-                best = card
-    if best is None:
-        raise InfeasibleParametersError("no integral point meets the demands")
-    return best
+    return _fewest_items(instance.n_items, demands)
 
 
 def verify_mkp(instance: MkpInstance, t: int) -> GapReport:
@@ -455,10 +454,9 @@ def verify_mkp(instance: MkpInstance, t: int) -> GapReport:
 
     The moment matrix and the cardinality matrix reduce to nonnegative
     diagonals, so the recipe settles them by disks alone. Each block
-    demand matrix goes through the recipe and the exact oracle; when the
-    recipe fell back to the oracle, that decision is the oracle entry, so
-    no matrix is decided twice. The gap compares the forced integral cost
-    (one item per block) against the cardinality cap.
+    demand matrix goes through the recipe and the exact oracle. The gap
+    compares the forced integral cost (one item per block) against the
+    cardinality cap.
     """
     p = mkp_uniform_solution(instance, t)
     moment_cert = certify_recipe(from_pseudo(p, t + 1))
@@ -471,16 +469,9 @@ def verify_mkp(instance: MkpInstance, t: int) -> GapReport:
         for b in range(1, instance.blocks + 1)
     ]
     for label, g in targets:
-        zform = from_pseudo(constraint_diagonal(g, p), t)
-        recipe = certify_recipe(zform)
-        if recipe.recipe_conclusive:
-            oracle = is_psd_exact(assemble(zform))
-        else:
-            oracle = PsdCertificate(
-                recipe.verdict, recipe.method, witness=recipe.witness
-            )
-        certificates.append((label, recipe))
-        certificates.append((f"{label}-oracle", oracle))
+        certificates += _recipe_and_oracle(
+            label, from_pseudo(constraint_diagonal(g, p), t)
+        )
 
     objective = relaxation_objective(p)
     return GapReport(
@@ -540,14 +531,8 @@ class ScheduleInstance:
 
     @property
     def deadlines(self) -> list[Fraction]:
-        out = []
-        weight = Fraction(0)
-        demand = Fraction(0)
-        for j in range(1, self.n + 1):
-            weight += self.P ** j
-            demand += self.P ** (j - 1)
-            out.append(self.n * weight - demand)
-        return out
+        """d_l = n * sum_{j<=l} P^j - D_l, which is (n*P - 1) * D_l."""
+        return [(self.n * self.P - 1) * D for D in self.demands]
 
     def group_members(self, group: int) -> tuple[int, ...]:
         if not 1 <= group <= self.n:
@@ -567,19 +552,14 @@ class ScheduleInstance:
         is what the certification matrices are built from. Scaling by a
         positive constant does not move the PSD verdict.
         """
-        if not 1 <= level <= self.n:
-            raise GapError(f"covering level {level} out of range")
+        raw = self.raw_covering_constraint(level)
         scale = self.P ** (-level)
-        weights: dict[int, Fraction] = {}
-        for i in range(1, level + 1):
-            wi = self.P ** (i - level)
-            for v in self.group_members(i):
-                weights[v] = wi
-        return ConstraintPolynomial.linear(
-            self.jobs, weights, constant=-self.demands[level - 1] * scale
+        return ConstraintPolynomial(
+            self.jobs, {mask: raw.coefficient(mask) * scale for mask in raw.support()}
         )
 
     def raw_covering_constraint(self, level: int) -> ConstraintPolynomial:
+        """Prefix covering constraint: group i weighs P^i, demand D_level."""
         if not 1 <= level <= self.n:
             raise GapError(f"covering level {level} out of range")
         weights: dict[int, Fraction] = {}

@@ -33,9 +33,6 @@ from .lattice import (
     SubsetIndex,
     enumerate_subsets,
     from_pseudo_probabilities,
-    json_int,
-    rat,
-    rat_str,
     to_pseudo_probabilities,
 )
 
@@ -61,27 +58,6 @@ class MomentMatrix:
         size = len(self.index)
         if any(len(r) != size for r in self.rows) or len(self.rows) != size:
             raise LatticeError("moment matrix is not square over its index")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "t": self.t,
-            "order": [str(s) for s in self.index],
-            "rows": [[rat_str(v) for v in row] for row in self.rows],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "MomentMatrix":
-        try:
-            n = json_int(data["n"])
-            t = json_int(data["t"])
-            order = data["order"]
-            rows = data["rows"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise LatticeError(f"malformed moment matrix payload: {exc}") from exc
-        index = [SubsetIndex.parse(s, n) for s in order]
-        parsed = [[rat(v) for v in row] for row in rows]
-        return cls(n, t, index, parsed)
 
 
 def shift(g: ConstraintPolynomial, y: LatticeVector) -> LatticeVector:

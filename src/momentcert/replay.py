@@ -33,7 +33,6 @@ from .lattice import (
     LatticeVector,
     RationalLike,
     SubsetIndex,
-    enumerate_subsets,
     rat,
     rat_str,
 )
@@ -142,7 +141,7 @@ def normalized_demand_form(
     Rescaling by a positive constant does not move any verdict.
     """
     p = mkp_uniform_solution(instance, t)
-    count = len(enumerate_subsets(instance.n_items, t + 1))
+    count = p.nonzero_count()
     zp = constraint_diagonal(instance.demand_constraint(block), p)
     scaled = LatticeVector(
         instance.n_items,
@@ -192,14 +191,13 @@ class ReplayResult:
         return len(self.stages) == len(REDUCTION_STAGES) and not self.mismatches
 
     def to_json_dict(self) -> dict:
-        labels = ["{}"] + [f"{{{i}}}" for i in range(1, 7)]
         return {
             "eps": rat_str(self.eps),
             "pivots": [{"H": h, "S": s} for h, s in CANONICAL_PIVOTS],
             "verdict": self.certificate.verdict,
             "matches": self.matches,
             "mismatches": self.mismatches,
-            "final_disks": self.final_disks.rows_json(labels),
+            "final_disks": self.final_disks.rows_json(self.certificate.row_labels),
             "stages": [
                 [[rat_str(v) for v in row] for row in stage]
                 for stage in self.stages

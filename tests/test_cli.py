@@ -122,6 +122,20 @@ def test_decompose_rejects_bad_level(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_decompose_input_refuses_oversized_level_before_the_transform(
+    tmp_path, capsys, monkeypatch
+):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the 2^n transform ran before the size preflight")
+
+    monkeypatch.setattr(cli, "to_pseudo_probabilities", unreachable)
+    src = write(tmp_path / "y.json", {"n": 13, "values": {"{}": "1"}})
+    out = tmp_path / "adf.json"
+    assert main(["decompose", "--input", src, "--level", "13", "--out", str(out)]) == 3
+    assert "above the limit of 4096" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_decompose_rejects_malformed_values(tmp_path, capsys):
     out = tmp_path / "adf.json"
     inputs = [

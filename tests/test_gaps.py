@@ -11,10 +11,13 @@ from momentcert import (
     GapError,
     InfeasibleParametersError,
     LatticeVector,
+    assemble,
     build_knapsack,
     build_mkp,
     build_schedule,
+    constraint_diagonal,
     find_min_feasible_P,
+    from_pseudo,
     from_pseudo_probabilities,
     instance_from_json,
     instance_to_json,
@@ -213,9 +216,19 @@ def test_verify_mkp_small_demand_is_feasible():
 
 
 def test_verify_mkp_large_demand_is_refuted():
-    report = verify_mkp(build_mkp(3, 2, "1/8", 2), 1)
+    instance = build_mkp(3, 2, "1/8", 2)
+    report = verify_mkp(instance, 1)
     assert not report.feasible
     assert report.certificate("demand-1-oracle").verdict == "NotPSD"
+
+    # each -oracle entry is what the oracle says of a freshly built matrix,
+    # whether it reuses the recipe's fallback (demand-1) or not (cardinality)
+    p = mkp_uniform_solution(instance, 1)
+    targets = [("cardinality", instance.cardinality_constraint())]
+    targets += [(f"demand-{b}", instance.demand_constraint(b)) for b in (1, 2, 3)]
+    for label, g in targets:
+        fresh = is_psd_exact(assemble(from_pseudo(constraint_diagonal(g, p), 1)))
+        assert report.certificate(f"{label}-oracle").to_json_dict() == fresh.to_json_dict()
 
 
 def test_mkp_integral_optimum_needs_one_item_per_block():
@@ -244,6 +257,10 @@ def test_schedule_demands_and_deadlines():
     assert instance.jobs == 16
     assert instance.level_cap == 2
     assert instance.group_members(3) == (9, 10, 11, 12)
+    # d_l = n * sum_{j<=l} P^j - D_l, by hand at n = 3, P = 5
+    instance = build_schedule(3, 1, 5)
+    assert instance.demands == [F(1), F(6), F(31)]
+    assert instance.deadlines == [F(14), F(84), F(434)]
 
 
 def test_schedule_covering_is_the_scaled_raw_constraint():

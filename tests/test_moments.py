@@ -10,7 +10,6 @@ from momentcert import (
     ConstraintPolynomial,
     LatticeError,
     LatticeVector,
-    MomentMatrix,
     ZetaBlock,
     constraint_diagonal,
     enumerate_subsets,
@@ -70,16 +69,6 @@ def test_moment_matrix_entries_are_union_moments():
     for i, si in enumerate(m.index):
         for j, sj in enumerate(m.index):
             assert m.rows[i][j] == w.get(si.bits | sj.bits)
-
-
-def test_moment_matrix_json_roundtrip():
-    m = moment_matrix(TWO_COINS, 1)
-    again = MomentMatrix.from_json_dict(m.to_json_dict())
-    assert again.n == m.n and again.t == m.t
-    assert again.rows == m.rows
-    for field, bad in (("n", 2.0), ("t", True)):
-        with pytest.raises(LatticeError):
-            MomentMatrix.from_json_dict(dict(m.to_json_dict(), **{field: bad}))
 
 
 def test_moment_matrix_level_bounds():

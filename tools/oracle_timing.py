@@ -42,8 +42,13 @@ from momentcert.gaps import (  # noqa: E402
     knapsack_constraint,
     schedule_solution,
 )
-from momentcert.lattice import MOMENTS, LatticeVector, from_pseudo_probabilities  # noqa: E402
-from momentcert.moments import constraint_diagonal, to_pseudo_probabilities  # noqa: E402
+from momentcert.lattice import (  # noqa: E402
+    MOMENTS,
+    LatticeVector,
+    from_pseudo_probabilities,
+    to_pseudo_probabilities,
+)
+from momentcert.moments import constraint_diagonal  # noqa: E402
 import workloads  # noqa: E402
 
 ADF_N = 8
