@@ -28,10 +28,10 @@ from .certify import (
     PsdCertificate,
     certify_matrix,
     certify_recipe,
+    decide_form,
     gershgorin,
     is_psd_exact,
     pivot_reduce,
-    principal_minors_psd,
     quad_eval,
 )
 from .gaps import (

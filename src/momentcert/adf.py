@@ -16,7 +16,10 @@ Terms whose coefficient p_J is zero contribute nothing and are dropped.
 
 The form is fixed by p and t, so from_pseudo is the one builder: decompose
 and the JSON reader both go through it, and it enumerates P_t once per
-form and hands that index to g_vector for every term.
+form and hands that index to g_vector for every term. The one other form
+is built by certify.decide_form: the Schur complement of a form onto its
+nonpositive diagonal rows, again a diagonal plus rank-one terms, which it
+only assembles and decides.
 """
 
 from __future__ import annotations

@@ -13,6 +13,13 @@ When no pivot sequence settles the question, is_psd_exact decides it by
 exact symmetric elimination over the rationals on one triangle: a bare PSD
 verdict when every pivot stays nonnegative, and otherwise an explicit
 rational witness v with v^T A v < 0, rebuilt from the recorded multipliers.
+is_psd_exact is the decider for raw matrices. Forms go through
+decide_form, which, when every coefficient is positive and the
+nonpositive diagonal rows plus the terms are fewer than the rows, first
+takes the Schur complement onto those rows (Haynsworth inertia additivity
+with the positive-definite rest eliminated by Woodbury). That complement
+is again a diagonal plus rank-one terms, so the same assemble and the
+same elimination decide it, and a NotPSD witness is lifted back.
 """
 
 from __future__ import annotations
@@ -318,43 +325,61 @@ def _not_psd(
     return PsdCertificate(verdict="NotPSD", method="exact-factorization", witness=u)
 
 
-def principal_minors_psd(rows: Sequence[Sequence[Fraction]]) -> bool:
-    """PSD by the textbook criterion: every principal minor is nonnegative.
+def decide_form(form: AlmostDiagonalForm) -> PsdCertificate:
+    """Exact PSD decision for a form, on its Schur complement when that is smaller.
 
-    Exponential in the dimension, so capped at 12; meant as an independent
-    cross-check of is_psd_exact on small matrices, not for production.
+    Write the form as M = D + G C G^T over its nonzero coefficients, with R
+    the rows where D <= 0 and P the rest. When every coefficient is
+    positive, M_PP is positive definite, so M is PSD exactly when its Schur
+    complement onto R is. By Woodbury that complement is
+    S = D_R + G_R H^-1 G_R^T with H = C^-1 + G_P^T D_P^-1 G_P (k x k).
+    Eliminating H = L Delta L^T without pivoting (H is positive definite,
+    so every Delta_j > 0) makes S a form over R with coefficients
+    1/Delta_j and vectors u_j, row j of L^-1 applied to the g's; each keeps
+    its source term's J. S is decided by is_psd_exact(assemble(S)), and a
+    witness v is lifted to x_R = v, x_P = -D_P^-1 sum_j s_j u_j,P with
+    s_j = (u_j,R . v) / Delta_j, so that x^T M x = v^T S v < 0.
+
+    The reduction runs when every coefficient is positive and |R| + k is
+    below the size; otherwise the assembled form is decided directly.
     """
-    mat = _check_symmetric(rows)
-    size = len(mat)
-    if size > 12:
-        raise CertifyError("principal minor check is limited to dimension 12")
-    for picks in range(1, 1 << size):
-        sel = [i for i in range(size) if picks >> i & 1]
-        sub = [[mat[i][j] for j in sel] for i in sel]
-        if _det(sub) < 0:
-            return False
-    return True
-
-
-def _det(mat: Matrix) -> Fraction:
-    m = [row[:] for row in mat]
-    size = len(m)
-    det = Fraction(1)
-    for col in range(size):
-        pivot_row = next((r for r in range(col, size) if m[r][col]), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != col:
-            m[col], m[pivot_row] = m[pivot_row], m[col]
-            det = -det
-        d = m[col][col]
-        det *= d
-        for r in range(col + 1, size):
-            f = m[r][col] / d
-            if f:
-                for c in range(col, size):
-                    m[r][c] -= f * m[col][c]
-    return det
+    terms = [t for t in form.terms if t.coefficient]
+    D, k = form.diag, len(terms)
+    R = [i for i, d in enumerate(D) if d <= 0]
+    if any(t.coefficient < 0 for t in terms) or len(R) + k >= form.size():
+        return is_psd_exact(assemble(form))
+    P = [i for i, d in enumerate(D) if d > 0]
+    vecs = [list(t.g_vec) for t in terms]
+    H = [[sum((a[i] * b[i] / D[i] for i in P if a[i] and b[i]), Fraction(0)) for b in vecs]
+         for a in vecs]
+    for j, term in enumerate(terms):
+        H[j][j] += 1 / term.coefficient
+    # Row operations only: H[j][j] is final once pivot j is reached, and
+    # vecs[i] -= m * vecs[j] applies L^-1 to the g's as it goes.
+    for j in range(k):
+        for i in range(j + 1, k):
+            m = H[i][j] / H[j][j]
+            if m:
+                for col in range(j + 1, k):
+                    H[i][col] -= m * H[j][col]
+                vecs[i] = [x - m * y for x, y in zip(vecs[i], vecs[j])]
+    delta = [H[j][j] for j in range(k)]
+    reduced = AlmostDiagonalForm(
+        form.n, form.t, [form.index[i] for i in R], [D[i] for i in R],
+        [RankOneTerm(t.J, 1 / d, [v[i] for i in R]) for t, d, v in zip(terms, delta, vecs)],
+    )
+    cert = is_psd_exact(assemble(reduced))
+    if cert.witness is None:
+        return cert
+    x = [Fraction(0)] * form.size()
+    for i, vi in zip(R, cert.witness):
+        x[i] = vi
+    for d, v in zip(delta, vecs):
+        s = sum((v[i] * x[i] for i in R if v[i]), Fraction(0)) / d
+        if s:
+            for i in P:
+                x[i] -= s * v[i] / D[i]
+    return replace(cert, witness=x)
 
 
 # ---------------------------------------------------------------------------
@@ -379,8 +404,8 @@ def certify_recipe(
     largest-coefficient positive term available, stopping when the disks
     pass or two consecutive pivots fail to improve the worst margin.
 
-    Either way a failed recipe falls back to the exact oracle on the
-    assembled matrix, and the certificate names the oracle as its method.
+    Either way a failed recipe falls back to decide_form, and the
+    certificate names the exact oracle as its method.
     The disks are read once per state of the working matrix, and both
     certificates carry the last reading.
     """
@@ -430,7 +455,7 @@ def certify_recipe(
             trace_matrices=state.snapshots,
         )
     return replace(
-        is_psd_exact(assemble(form)),
+        decide_form(form),
         schedule=state.trace,
         final_disks=disks,
         row_labels=state.labels(),

@@ -30,8 +30,15 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterator, Union
 
-from .adf import AlmostDiagonalForm, RankOneTerm, assemble, decompose, from_pseudo, g_vector
-from .certify import PivotState, PsdCertificate, certify_recipe, is_psd_exact, pivot_reduce
+from .adf import AlmostDiagonalForm, RankOneTerm, decompose, from_pseudo, g_vector
+from .certify import (
+    PivotState,
+    PsdCertificate,
+    certify_recipe,
+    decide_form,
+    is_psd_exact,
+    pivot_reduce,
+)
 from .lattice import (
     MOMENTS,
     PSEUDO_PROBABILITIES,
@@ -229,7 +236,7 @@ def _recipe_and_oracle(
     """
     recipe = certify_recipe(form, schedule=schedule)
     if recipe.recipe_conclusive:
-        oracle = is_psd_exact(assemble(form))
+        oracle = decide_form(form)
     else:
         oracle = PsdCertificate(recipe.verdict, recipe.method, witness=recipe.witness)
     return [(label, recipe), (f"{label}-oracle", oracle)]
@@ -241,8 +248,11 @@ def verify_knapsack_level(n: int, P: RationalLike) -> GapReport:
     The full moment matrix is settled by the sign of the
     pseudo-probabilities; the shifted covering matrix is certified twice,
     once by the single pivot that folds the top rank-one term into the
-    empty-set row and once by the exact oracle. The reported gap is the
-    integral optimum (one item) over the relaxation objective.
+    empty-set row and once by decide_form. The covering form is D + c g g^T
+    with c > 0 and one nonpositive diagonal row ({}), so decide_form hands
+    the exact oracle its 1 x 1 Schur complement onto that row, not the
+    (2^n - 1)-row matrix. The reported gap is the integral optimum (one
+    item) over the relaxation objective.
     """
     if n < 2:
         raise GapError(f"level verification needs n >= 2, got {n}")
@@ -303,6 +313,9 @@ def trace_bound_check(n: int, P: RationalLike, y: LatticeVector) -> TraceBoundRe
     matrix whose trace is z_empty - (2^n - 2) * p_empty / P, with p the
     pseudo-probabilities of y. A nonnegative trace is forced whenever
     the matrix is PSD, which bounds p_empty by P * z_empty / (2^n - 2).
+    matrix_psd comes from decide_form, which drops the zero-coefficient top
+    term and decides the Schur complement onto the nonpositive diagonal
+    rows whenever those rows plus the terms are fewer than the rows.
     """
     if n < 2:
         raise GapError(f"trace bound needs n >= 2, got {n}")
@@ -325,7 +338,7 @@ def trace_bound_check(n: int, P: RationalLike, y: LatticeVector) -> TraceBoundRe
     # z_empty is the superset sum of the shifted pseudo-probabilities at {}.
     z_empty = sum((val for _, val in zp.items()), Fraction(0))
     rhs = Pq * z_empty / ((1 << n) - 2)
-    oracle = is_psd_exact(assemble(form))
+    oracle = decide_form(form)
     return TraceBoundReport(
         trace=trace,
         bound_rhs=rhs,

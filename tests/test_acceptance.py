@@ -39,7 +39,6 @@ from momentcert import (
     knapsack_solution,
     moment_matrix,
     normalized_demand_form,
-    principal_minors_psd,
     quad_eval,
     quadratic_form,
     replay_demand_reduction,
@@ -51,6 +50,8 @@ from momentcert import (
     verify_mkp,
     verify_schedule,
 )
+
+from psd_minors import principal_minors_psd
 
 KNAPSACK_SIZES = [(n, k) for n in range(2, 8) for k in (1, 2, 4)]
 

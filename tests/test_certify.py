@@ -14,17 +14,22 @@ from momentcert import (
     InvalidPivotError,
     LatticeVector,
     PivotState,
+    RankOneTerm,
     SubsetIndex,
     assemble,
     certify_recipe,
+    decide_form,
     decompose,
     from_pseudo,
+    g_vector,
     gershgorin,
     is_psd_exact,
     pivot_reduce,
-    principal_minors_psd,
     quad_eval,
+    quadratic_form,
 )
+
+from psd_minors import principal_minors_psd
 
 # z^N = (1, -1/3, 1, 2) over the two-element lattice: diagonal part
 # (1, -1/3, 1) plus the single rank-one term 2 * G({1,2}) G({1,2})^T.
@@ -292,6 +297,42 @@ def test_oracle_agrees_with_minors_on_sparse_matrices(rows):
     assert (cert.verdict == "PSD") == principal_minors_psd(rows)
     if cert.verdict == "NotPSD":
         assert quad_eval(rows, cert.witness) < 0
+
+
+@st.composite
+def few_term_forms(draw):
+    """from_pseudo forms with one to three terms over mostly positive diagonals.
+
+    Zero and negative diagonal rows, negative coefficients (which keep the
+    form on the dense path) and a trailing zero-coefficient term, as
+    trace_bound_check appends one, are all drawn.
+    """
+    n = draw(st.integers(2, 5))
+    t = draw(st.integers(1, n - 1))
+    diag = st.sampled_from([-2, -1, 0, 1, 1, 2, 5, F(1, 3), F(7, 2), 30])
+    values = {m: draw(diag) for m in range(1 << n) if m.bit_count() <= t}
+    above = [m for m in range(1 << n) if m.bit_count() > t]
+    coeff = st.sampled_from([1, 2, F(1, 2), 9, 40, -1])
+    for m in draw(st.lists(st.sampled_from(above), min_size=1, max_size=3, unique=True)):
+        values[m] = draw(coeff)
+    form = from_pseudo(LatticeVector(n, PSEUDO_PROBABILITIES, values), t)
+    if draw(st.booleans()):
+        J = SubsetIndex(draw(st.sampled_from(above)), n)
+        form.terms.append(RankOneTerm(J, F(0), g_vector(J, form.index)))
+    return form
+
+
+@settings(max_examples=300, deadline=None)
+@given(few_term_forms())
+def test_decide_form_agrees_with_the_dense_oracle(form):
+    cert = decide_form(form)
+    dense = is_psd_exact(assemble(form))
+    assert cert.verdict == dense.verdict
+    if cert.verdict == "PSD":
+        assert cert.to_json_dict() == dense.to_json_dict()
+    else:
+        # quadratic_form never builds the matrix, so it checks the lift on its own.
+        assert quadratic_form(form, cert.witness) < 0
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import momentcert.certify
 from momentcert import (
     MOMENTS,
     PSEUDO_PROBABILITIES,
@@ -95,6 +96,23 @@ def test_verify_knapsack_two_items_frozen_numbers():
     assert covering.final_disks.radii == [F(1325, 31248)] * 3
     assert report.certificate("covering-oracle").verdict == "PSD"
     assert report.certificate("moment-matrix").verdict == "PSD"
+
+
+def test_knapsack_covering_is_decided_on_its_schur_complement(monkeypatch):
+    # The level-5 covering form over 6 items is 63 x 63 with one positive
+    # term and one nonpositive row ({}), so the oracle sees only the 1 x 1
+    # Schur complement; the moment matrix is settled by its disks.
+    oracle = momentcert.certify.is_psd_exact
+    dims = []
+
+    def spy(rows):
+        dims.append(len(rows))
+        return oracle(rows)
+
+    monkeypatch.setattr(momentcert.certify, "is_psd_exact", spy)
+    report = verify_knapsack_level(6, 2**13)
+    assert report.certificate("covering-oracle").verdict == "PSD"
+    assert dims == [1]
 
 
 def test_verify_knapsack_radius_formula_across_sizes():

@@ -1,4 +1,4 @@
-"""Wall time of the exact oracle is_psd_exact and of the lattice transforms.
+"""Wall time of the exact oracle is_psd_exact, of decide_form and of the lattice transforms.
 
     python3 tools/oracle_timing.py
 
@@ -11,6 +11,11 @@ is NotPSD. Each oracle line gives the input, its dimension (size), the
 bit length of its largest numerator or denominator, the verdict and the
 median of 3 timed runs (1 run at n = 7). Matrices are built before the
 clock starts.
+
+Each knapsack covering form also gets a decide_form line, which times the
+whole decision from the form (the Schur complement, its assembly and the
+oracle on it). Its size and bits are those of the matrix decide_form hands
+to is_psd_exact, so the size is the reduced dimension.
 
 The last line times the transform pair that verify_schedule runs:
 from_pseudo_probabilities and then, inside decompose,
@@ -34,8 +39,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
-from momentcert.adf import assemble, from_pseudo  # noqa: E402
-from momentcert.certify import is_psd_exact  # noqa: E402
+import momentcert.certify as certify  # noqa: E402
+from momentcert.adf import AlmostDiagonalForm, assemble, from_pseudo  # noqa: E402
+from momentcert.certify import decide_form, is_psd_exact  # noqa: E402
 from momentcert.gaps import (  # noqa: E402
     build_knapsack,
     build_schedule,
@@ -55,10 +61,10 @@ ADF_N = 8
 ADF_SEED = 5
 
 
-def knapsack_covering(n: int) -> list[list[Fraction]]:
+def knapsack_covering(n: int) -> AlmostDiagonalForm:
     P = 2 ** (2 * n + 1)
     p = build_knapsack(n, P).solution(n - 1)
-    return assemble(from_pseudo(constraint_diagonal(knapsack_constraint(n, P), p), n - 1))
+    return from_pseudo(constraint_diagonal(knapsack_constraint(n, P), p), n - 1)
 
 
 def perturbed_adf() -> list[list[Fraction]]:
@@ -74,19 +80,48 @@ def max_bits(rows: list[list[Fraction]]) -> int:
                for row in rows for v in row)
 
 
+def row(name: str, rows: list[list[Fraction]], verdict: str, times: list[float]) -> str:
+    return (f"{name:<28} {len(rows):>5} {max_bits(rows):>5} {verdict:>7} "
+            f"{statistics.median(times):>9.4f}")
+
+
+def oracle_row(name: str, rows: list[list[Fraction]], runs: int) -> str:
+    times = []
+    for _ in range(runs):
+        start = time.perf_counter()
+        verdict = is_psd_exact(rows).verdict
+        times.append(time.perf_counter() - start)
+    return row(name, rows, verdict, times)
+
+
+def decide_form_row(name: str, form: AlmostDiagonalForm) -> str:
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        verdict = decide_form(form).verdict
+        times.append(time.perf_counter() - start)
+    seen = []
+
+    def spy(rows):
+        seen.append(rows)
+        return is_psd_exact(rows)
+
+    certify.is_psd_exact = spy
+    try:
+        decide_form(form)
+    finally:
+        certify.is_psd_exact = is_psd_exact
+    return row(name, seen[0], verdict, times)
+
+
 def main() -> int:
-    inputs = [(f"knapsack-covering n={n}", knapsack_covering(n), 1 if n == 7 else 3)
-              for n in (5, 6, 7)]
-    inputs.append((f"adf-perturbed n={ADF_N} t={workloads.ADF_LEVEL}", perturbed_adf(), 3))
     print(f"{'input':<28} {'size':>5} {'bits':>5} {'verdict':>7} {'seconds':>9}")
-    for name, rows, runs in inputs:
-        times = []
-        for _ in range(runs):
-            start = time.perf_counter()
-            verdict = is_psd_exact(rows).verdict
-            times.append(time.perf_counter() - start)
-        print(f"{name:<28} {len(rows):>5} {max_bits(rows):>5} {verdict:>7} "
-              f"{statistics.median(times):>9.4f}", flush=True)
+    for n in (5, 6, 7):
+        form = knapsack_covering(n)
+        print(oracle_row(f"knapsack-covering n={n}", assemble(form), 1 if n == 7 else 3), flush=True)
+        print(decide_form_row(f"decide_form covering n={n}", form), flush=True)
+    print(oracle_row(f"adf-perturbed n={ADF_N} t={workloads.ADF_LEVEL}", perturbed_adf(), 3),
+          flush=True)
     print(transform_row(), flush=True)
     return 0
 
