@@ -70,13 +70,20 @@ def g_vector(J: SubsetIndex, index: Sequence[SubsetIndex]) -> list[Fraction]:
 def add_rank_one(
     rows: list[list[Fraction]], coeff: Fraction, g: Sequence[Fraction]
 ) -> None:
-    """rows += coeff * g g^T in place, touching only the support of g."""
+    """rows += coeff * g g^T in place, touching only the support of g.
+
+    The update is symmetric, so each product coeff g_i g_j is formed once
+    and added at (i, j) and (j, i).
+    """
     nz = [(k, v) for k, v in enumerate(g) if v]
-    for ki, vi in nz:
+    for a, (ki, vi) in enumerate(nz):
         row = rows[ki]
         cvi = coeff * vi
-        for kj, vj in nz:
-            row[kj] += cvi * vj
+        row[ki] += cvi * vi
+        for kj, vj in nz[a + 1:]:
+            x = cvi * vj
+            row[kj] += x
+            rows[kj][ki] += x
 
 
 @dataclass

@@ -9,6 +9,16 @@ added at (S, S) and every other term's vector updated in place. Pivoting
 preserves congruence, so a disk pass after any pivot sequence certifies the
 original matrix once the remaining unfolded terms are all PSD themselves.
 
+A pivot is itself a rank-one update. With T = I + sum_i m_i E_{i,s},
+sigma = W_ss and w' the off-diagonal nonzeros of row s of W,
+
+    T W T^T = W + m w'^T + w' m^T + sigma [(e_s + m)(e_s + m)^T - e_s e_s^T],
+
+so pivot_reduce adds m_i w'_k at (i, k) and (k, i) over nonzeros only and,
+while row s of W is diagonal, keeps sigma (e_s + m)(e_s + m)^T as a
+folded term instead of filling the dense matrix; gershgorin reads the
+disks of the dense part plus the folded terms in closed form.
+
 When no pivot sequence settles the question, is_psd_exact decides it by
 exact symmetric elimination over the rationals on one triangle: a bare PSD
 verdict when every pivot stays nonnegative, and otherwise an explicit
@@ -32,6 +42,8 @@ from .adf import AlmostDiagonalForm, RankOneTerm, add_rank_one, assemble
 from .lattice import LatticeError, SubsetIndex, rat_str
 
 Matrix = list[list[Fraction]]
+# Copies of a PivotState's working rows and folded terms.
+Snapshot = tuple[Matrix, list[RankOneTerm]]
 
 
 class CertifyError(LatticeError):
@@ -97,14 +109,44 @@ class GershgorinReport:
         ]
 
 
-def gershgorin(rows: Sequence[Sequence[Fraction]]) -> GershgorinReport:
-    """Disk report for a symmetric matrix; symmetry is validated first."""
-    mat = _check_symmetric(rows)
-    centers = [mat[i][i] for i in range(len(mat))]
-    radii = [
-        sum((abs(v) for j, v in enumerate(row) if v and j != i), Fraction(0))
-        for i, row in enumerate(mat)
-    ]
+def gershgorin(source: Union[Sequence[Sequence[Fraction]], PivotState]) -> GershgorinReport:
+    """Disk report for a symmetric matrix, or for a pivot state.
+
+    Raw rows are validated symmetric first. A PivotState is symmetric by
+    construction, and its disks are those of working + sum of folded terms
+    (the unfolded terms are left out), read without building that matrix:
+    row i has center W_ii + sum c u_i^2. A row that one folded term (c, u)
+    touches has radius |c u_i| (|u|_1 - |u_i|) plus, over the nonzero
+    W_ik with k != i, |W_ik + c u_i u_k| - |c u_i u_k|; a row that several
+    touch is accumulated densely, and an untouched row is read as it is.
+    """
+    if isinstance(source, PivotState):
+        rows = source.working
+        folded = [(t.coefficient, t.g_vec, sum((abs(v) for v in t.g_vec if v), Fraction(0)))
+                  for t in source.folded]
+    else:
+        rows, folded = _check_symmetric(source), []
+    centers, radii = [], []
+    for i, row in enumerate(rows):
+        hits = [(c * u[i], u, l1) for c, u, l1 in folded if u[i]]
+        center = row[i]
+        for cu, u, _ in hits:
+            center += cu * u[i]
+        centers.append(center)
+        if len(hits) == 1:
+            cu, u, l1 = hits[0]
+            radius = abs(cu) * (l1 - abs(u[i]))
+            for k, v in enumerate(row):
+                if v and k != i:
+                    radius += abs(v + (x := cu * u[k])) - abs(x) if u[k] else abs(v)
+            radii.append(radius)
+            continue
+        acc = row[:]
+        for cu, u, _ in hits:
+            for k, x in enumerate(u):
+                if x:
+                    acc[k] += cu * x
+        radii.append(sum((abs(v) for k, v in enumerate(acc) if v and k != i), Fraction(0)))
     return GershgorinReport(centers, radii)
 
 
@@ -126,14 +168,23 @@ class PivotStep:
 
 
 class PivotState:
-    """Working matrix plus the not-yet-folded rank-one terms.
+    """Dense working part, the terms pivots created, and the unfolded terms.
 
-    Mutable and single-owner: pivot_reduce edits it in place. working always
-    satisfies  working + sum of remaining terms  congruent to the assembled
-    input form, which is what makes a final disk pass meaningful.
+    Mutable and single-owner: pivot_reduce edits it in place. working holds
+    the diagonal plus the terms folded in densely (fold_term, and pivots at
+    a row that already has off-diagonal entries), and folded holds the
+    rank-one terms sigma (e_s + m)(e_s + m)^T that the other pivots create,
+    so that
+
+        working + sum of folded + sum of remaining terms
+
+    is always congruent to the assembled input form, which is what makes a
+    final disk pass (gershgorin(state)) meaningful. A snapshot keeps copies
+    of working's rows and of the folded terms; PsdCertificate.trace_matrices
+    adds them up on first use.
     """
 
-    __slots__ = ("index", "working", "terms", "trace", "snapshots")
+    __slots__ = ("index", "working", "folded", "terms", "trace", "snapshots")
 
     def __init__(self, form: AlmostDiagonalForm) -> None:
         self.index = list(form.index)
@@ -141,12 +192,13 @@ class PivotState:
         self.working: Matrix = [[Fraction(0)] * size for _ in range(size)]
         for k, val in enumerate(form.diag):
             self.working[k][k] = val
+        self.folded: list[RankOneTerm] = []
         self.terms: list[RankOneTerm] = [
             RankOneTerm(term.J, term.coefficient, list(term.g_vec))
             for term in form.terms
         ]
         self.trace: list[PivotStep] = []
-        self.snapshots: list[Matrix] = []
+        self.snapshots: list[Snapshot] = []
 
     def labels(self) -> list[str]:
         return [str(s) for s in self.index]
@@ -164,7 +216,10 @@ class PivotState:
         raise CertifyError(f"term {J} is unknown or already reduced")
 
     def snapshot(self) -> None:
-        self.snapshots.append([row[:] for row in self.working])
+        self.snapshots.append((
+            [row[:] for row in self.working],
+            [RankOneTerm(t.J, t.coefficient, list(t.g_vec)) for t in self.folded],
+        ))
 
     def fold_term(self, term: RankOneTerm) -> None:
         add_rank_one(self.working, term.coefficient, term.g_vec)
@@ -174,21 +229,23 @@ class PivotState:
         for term in [t for t in self.terms if t.coefficient < 0]:
             self.fold_term(term)
 
-    def assembled(self) -> Matrix:
-        """working plus all remaining terms, for oracle cross-checks."""
-        out = [row[:] for row in self.working]
-        for term in self.terms:
-            add_rank_one(out, term.coefficient, term.g_vec)
-        return out
-
 
 def pivot_reduce(state: PivotState, H: SubsetIndex, S: SubsetIndex) -> PivotState:
-    """Fold term H into the working matrix by pivoting at row S.
+    """Fold term H by pivoting at row S, as rank-one updates.
 
-    Applies the congruence T = I + sum_i m_i E_{i,S} with m_i chosen to
-    clear every other support entry of H, adds coeff * g_S^2 at (S, S),
-    and maps every remaining term vector g to T g. Raises InvalidPivotError
-    when H has no support at S, CertifyError when H was already reduced.
+    The congruence T = I + sum_i m_i E_{i,S} has m_i chosen to clear every
+    other support entry of H, so T maps H's vector g to g_S e_S. With
+    sigma = W_ss and w' the off-diagonal nonzeros of row s of working,
+
+        T W T^T = W + m w'^T + w' m^T + sigma [(e_s + m)(e_s + m)^T - e_s e_s^T]:
+
+    m_i w'_k is added at (i, k) and (k, i) over nonzeros only, every folded
+    and remaining vector v becomes T v = v + v_s m, W_ss becomes
+    coeff * g_S^2, and a nonzero sigma (e_s + m)(e_s + m)^T is appended to
+    folded when w' is empty, or added densely when it is not. The cost is
+    O(|m| |w'|) plus the term supports, not O(size |m|). Raises
+    InvalidPivotError when H has no support at S, CertifyError when H was
+    already reduced.
     """
     term = state.find_term(H)
     s = state.position(S)
@@ -199,24 +256,34 @@ def pivot_reduce(state: PivotState, H: SubsetIndex, S: SubsetIndex) -> PivotStat
         (i, -v / gs) for i, v in enumerate(term.g_vec) if i != s and v
     ]
     W = state.working
-    size = len(W)
-    # Row operations first; row s itself is never a target, so the updates
-    # may run in any order. Column operations then reuse the updated column s.
     row_s = W[s]
+    sigma = row_s[s]
+    # Neither i nor k below is s, so these updates never touch row or column s.
+    off = [(k, v) for k, v in enumerate(row_s) if v and k != s]
     for i, m in mults:
         row_i = W[i]
-        for j in range(size):
-            row_i[j] += m * row_s[j]
-    for j, m in mults:
-        for i in range(size):
-            W[i][j] += m * W[i][s]
-    W[s][s] += term.coefficient * gs * gs
+        for k, v in off:
+            mv = m * v
+            row_i[k] += mv
+            W[k][i] += mv
     state.terms.remove(term)
-    for other in state.terms:
+    for other in state.folded + state.terms:
         hs = other.g_vec[s]
         if hs:
             for i, m in mults:
                 other.g_vec[i] += m * hs
+    row_s[s] = term.coefficient * gs * gs
+    if sigma:
+        u = [Fraction(0)] * len(W)
+        u[s] = Fraction(1)
+        for i, m in mults:
+            u[i] = m
+        # A kept term pays off while working is sparse; once row s has
+        # off-diagonal entries, every later disk pass would re-add it.
+        if off:
+            add_rank_one(W, sigma, u)
+        else:
+            state.folded.append(RankOneTerm(S, sigma, u))
     state.trace.append(PivotStep(H, S, mults))
     state.snapshot()
     return state
@@ -243,7 +310,20 @@ class PsdCertificate:
     final_disks: Union[GershgorinReport, None] = None
     witness: Union[list[Fraction], None] = None
     row_labels: Union[list[str], None] = None
-    trace_matrices: list[Matrix] = field(default_factory=list)
+    snapshots: list[Snapshot] = field(default_factory=list)
+
+    @property
+    def trace_matrices(self) -> list[Matrix]:
+        """Each snapshot as one dense matrix, rows plus folded terms.
+
+        The first read adds each snapshot's folded terms into its own row
+        copies and empties the term list, so later reads only collect them.
+        """
+        for rows, folded in self.snapshots:
+            while folded:
+                t = folded.pop()
+                add_rank_one(rows, t.coefficient, t.g_vec)
+        return [rows for rows, _ in self.snapshots]
 
     @property
     def recipe_conclusive(self) -> bool:
@@ -388,7 +468,7 @@ def decide_form(form: AlmostDiagonalForm) -> PsdCertificate:
 
 
 def _disks_conclusion(state: PivotState, report: GershgorinReport) -> bool:
-    """Whether the disk report of state.working proves the assembled form PSD."""
+    """Whether the disk report of the state proves the assembled form PSD."""
     return report.all_nonnegative and all(t.coefficient > 0 for t in state.terms)
 
 
@@ -414,7 +494,7 @@ def certify_recipe(
         pivot_reduce(state, H, S)
     state.fold_negative_terms()
     state.snapshot()
-    disks = gershgorin(state.working)
+    disks = gershgorin(state)
     if schedule is None:
         best = disks.margin()
         stalled = 0
@@ -438,7 +518,7 @@ def certify_recipe(
             if chosen is None:
                 break
             pivot_reduce(state, *chosen)
-            disks = gershgorin(state.working)
+            disks = gershgorin(state)
             margin = disks.margin()
             if margin > best:
                 best = margin
@@ -452,14 +532,14 @@ def certify_recipe(
             schedule=state.trace,
             final_disks=disks,
             row_labels=state.labels(),
-            trace_matrices=state.snapshots,
+            snapshots=state.snapshots,
         )
     return replace(
         decide_form(form),
         schedule=state.trace,
         final_disks=disks,
         row_labels=state.labels(),
-        trace_matrices=state.snapshots,
+        snapshots=state.snapshots,
     )
 
 

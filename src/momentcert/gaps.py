@@ -36,6 +36,7 @@ from .certify import (
     PsdCertificate,
     certify_recipe,
     decide_form,
+    gershgorin,
     is_psd_exact,
     pivot_reduce,
 )
@@ -333,7 +334,10 @@ def trace_bound_check(n: int, P: RationalLike, y: LatticeVector) -> TraceBoundRe
         form.terms.append(RankOneTerm(ground, Fraction(0), g_vector(ground, form.index)))
     state = PivotState(form)
     pivot_reduce(state, ground, SubsetIndex(0, n))
-    trace = sum((state.working[i][i] for i in range(form.size())), Fraction(0))
+    # The trace is the sum of the disk centers: the pivot keeps
+    # sigma (e_s + m)(e_s + m)^T as a folded term, so working's diagonal
+    # alone would miss sigma * |e_s + m|^2.
+    trace = sum(gershgorin(state).centers, Fraction(0))
 
     # z_empty is the superset sum of the shifted pseudo-probabilities at {}.
     z_empty = sum((val for _, val in zp.items()), Fraction(0))

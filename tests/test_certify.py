@@ -14,6 +14,7 @@ from momentcert import (
     InvalidPivotError,
     LatticeVector,
     PivotState,
+    PsdCertificate,
     RankOneTerm,
     SubsetIndex,
     assemble,
@@ -29,6 +30,7 @@ from momentcert import (
     quadratic_form,
 )
 
+from momentcert.adf import add_rank_one
 from psd_minors import principal_minors_psd
 
 # z^N = (1, -1/3, 1, 2) over the two-element lattice: diagonal part
@@ -49,6 +51,22 @@ INDEFINITE = LatticeVector(2, MOMENTS, {0b00: 1, 0b01: 1, 0b10: 1, 0b11: "1/4"})
 
 def frac_matrix(rows):
     return [[F(v) for v in row] for row in rows]
+
+
+def stage(state):
+    """working + folded terms of a pivot state: what a snapshot records and the disks read."""
+    rows = [row[:] for row in state.working]
+    for term in state.folded:
+        add_rank_one(rows, term.coefficient, term.g_vec)
+    return rows
+
+
+def materialized(state):
+    """The stage plus the remaining terms, congruent to the input form."""
+    rows = stage(state)
+    for term in state.terms:
+        add_rank_one(rows, term.coefficient, term.g_vec)
+    return rows
 
 
 def random_form(n, t, rng):
@@ -93,15 +111,15 @@ def test_disks_rows_json_uses_labels():
 def test_single_pivot_on_the_strategy_form():
     state = PivotState(STRATEGY)
     pivot_reduce(state, SubsetIndex(0b11, 2), SubsetIndex(0b01, 2))
-    assert state.working == frac_matrix(
+    assert state.terms == []
+    assert materialized(state) == frac_matrix(
         [
             ["2/3", "-1/3", "1/3"],
             ["-1/3", "5/3", "1/3"],
             ["1/3", "1/3", "2/3"],
         ]
     )
-    assert state.terms == []
-    report = gershgorin(state.working)
+    report = gershgorin(state)
     assert report.centers == [F(2, 3), F(5, 3), F(2, 3)]
     assert report.radii == [F(2, 3), F(2, 3), F(2, 3)]
     assert report.all_nonnegative
@@ -129,7 +147,7 @@ def test_pivots_are_congruences():
     for trial in range(8):
         form = random_form(3, 1, rng)
         state = PivotState(form)
-        before = state.assembled()
+        before = materialized(state)
         candidates = [
             (term.J, state.index[i])
             for term in state.terms
@@ -160,19 +178,98 @@ def test_pivots_are_congruences():
             ]
             for i in range(size)
         ]
-        assert state.assembled() == expected
+        assert materialized(state) == expected
 
 
 def test_fold_negative_terms_only_folds_negatives():
     form = random_form(3, 1, random.Random(9))
     state = PivotState(form)
     negatives = [t.J.bits for t in state.terms if t.coefficient < 0]
-    assembled_before = state.assembled()
+    assembled_before = materialized(state)
     state.fold_negative_terms()
     assert all(t.coefficient > 0 for t in state.terms)
     assert {t.J.bits for t in state.terms}.isdisjoint(negatives)
     # folding moves mass between the two summands without changing the total
-    assert state.assembled() == assembled_before
+    assert materialized(state) == assembled_before
+
+
+@st.composite
+def mixed_sign_forms(draw):
+    """from_pseudo forms with n <= 5, t <= 2 and mixed-sign p.
+
+    Diagonal rows are drawn zero, negative or positive and coefficients of
+    either sign, so pivots meet zero, negative and positive sigma = W_ss.
+    """
+    n = draw(st.integers(1, 5))
+    t = draw(st.integers(0, min(2, n - 1)))
+    diag = st.sampled_from([-3, -1, F(-1, 2), 0, 0, 1, F(2, 3), 2, 7])
+    values = {m: draw(diag) for m in range(1 << n) if m.bit_count() <= t}
+    above = [m for m in range(1 << n) if m.bit_count() > t]
+    coeff = st.sampled_from([-2, -1, F(-1, 3), F(1, 2), 1, 3, 10])
+    for m in draw(st.lists(st.sampled_from(above), min_size=1, max_size=4, unique=True)):
+        values[m] = draw(coeff)
+    return from_pseudo(LatticeVector(n, PSEUDO_PROBABILITIES, values), t)
+
+
+def matmul(X, Y):
+    return [
+        [sum((x * Y[k][j] for k, x in enumerate(row) if x), F(0)) for j in range(len(Y[0]))]
+        for row in X
+    ]
+
+
+def assert_disks_match(state):
+    # the raw-matrix path, with its symmetry check, is the reference
+    want = gershgorin(stage(state))
+    got = gershgorin(state)
+    assert (got.centers, got.radii) == (want.centers, want.radii)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_sign_forms(), st.booleans(), st.integers(0, 4), st.data())
+def test_rank_one_pivots_match_the_dense_congruence(form, fold_first, pivots, data):
+    state = PivotState(form)
+    size = form.size()
+
+    def fold():
+        expected = stage(state)
+        for term in state.terms:
+            if term.coefficient < 0:
+                add_rank_one(expected, term.coefficient, term.g_vec)
+        state.fold_negative_terms()
+        assert stage(state) == expected
+        assert_disks_match(state)
+
+    assert_disks_match(state)
+    if fold_first:
+        fold()
+    stages = []
+    for _ in range(pivots):
+        candidates = [
+            (term.J, i) for term in state.terms for i, v in enumerate(term.g_vec) if v
+        ]
+        if not candidates:
+            break
+        J, s = data.draw(st.sampled_from(candidates))
+        term = state.find_term(J)
+        c, gs, before = term.coefficient, term.g_vec[s], stage(state)
+        pivot_reduce(state, J, state.index[s])
+        T = [[F(int(i == j)) for j in range(size)] for i in range(size)]
+        for i, m in state.trace[-1].multipliers:
+            T[i][s] = m
+        expected = matmul(matmul(T, before), [list(col) for col in zip(*T)])
+        expected[s][s] += c * gs * gs
+        assert stage(state) == expected
+        assert_disks_match(state)
+        stages.append(expected)
+    if not fold_first:
+        fold()
+    # the certificate assembles the snapshots once, on first use
+    cert = PsdCertificate("PSD", "gershgorin-recipe", snapshots=state.snapshots)
+    first = cert.trace_matrices
+    assert first == stages
+    assert all(again is mat for again, mat in zip(cert.trace_matrices, first))
+    assert all(not folded for _, folded in cert.snapshots)
 
 
 # ---------------------------------------------------------------------------

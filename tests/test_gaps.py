@@ -115,6 +115,27 @@ def test_knapsack_covering_is_decided_on_its_schur_complement(monkeypatch):
     assert dims == [1]
 
 
+def test_knapsack_covering_pivot_stays_rank_one(monkeypatch):
+    # Folding the top term into {} must leave working diagonal and keep what
+    # the pivot creates as one folded term over all 63 rows, so the pivot and
+    # its disks stay O(size) instead of filling the dense 63 x 63 matrix.
+    pivot = momentcert.certify.pivot_reduce
+    seen = []
+
+    def spy(state, H, S):
+        pivot(state, H, S)
+        seen.append((
+            all(not v for i, row in enumerate(state.working) for j, v in enumerate(row) if i != j),
+            [sum(1 for v in term.g_vec if v) for term in state.folded],
+        ))
+        return state
+
+    monkeypatch.setattr(momentcert.certify, "pivot_reduce", spy)
+    report = verify_knapsack_level(6, 2**13)
+    assert report.certificate("covering").recipe_conclusive
+    assert seen == [(True, [63])]
+
+
 def test_verify_knapsack_radius_formula_across_sizes():
     for n, k in [(2, 1), (3, 2), (4, 1)]:
         P = k << (2 * n + 1)

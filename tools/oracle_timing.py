@@ -1,4 +1,4 @@
-"""Wall time of the exact oracle is_psd_exact, of decide_form and of the lattice transforms.
+"""Wall time of the exact oracle, of decide_form, of the pivot recipe and of the lattice transforms.
 
     python3 tools/oracle_timing.py
 
@@ -15,7 +15,11 @@ clock starts.
 Each knapsack covering form also gets a decide_form line, which times the
 whole decision from the form (the Schur complement, its assembly and the
 oracle on it). Its size and bits are those of the matrix decide_form hands
-to is_psd_exact, so the size is the reduced dimension.
+to is_psd_exact, so the size is the reduced dimension. A recipe line then
+times certify_recipe(form, fold_top) alone, the single pivot of the top
+term into the empty-set row and the disk pass that settles it, as
+verify_knapsack_level runs it; its size and bits are those of the
+assembled covering form.
 
 The last line times the transform pair that verify_schedule runs:
 from_pseudo_probabilities and then, inside decompose,
@@ -41,7 +45,7 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 import momentcert.certify as certify  # noqa: E402
 from momentcert.adf import AlmostDiagonalForm, assemble, from_pseudo  # noqa: E402
-from momentcert.certify import decide_form, is_psd_exact  # noqa: E402
+from momentcert.certify import certify_recipe, decide_form, is_psd_exact  # noqa: E402
 from momentcert.gaps import (  # noqa: E402
     build_knapsack,
     build_schedule,
@@ -51,6 +55,7 @@ from momentcert.gaps import (  # noqa: E402
 from momentcert.lattice import (  # noqa: E402
     MOMENTS,
     LatticeVector,
+    SubsetIndex,
     from_pseudo_probabilities,
     to_pseudo_probabilities,
 )
@@ -85,21 +90,22 @@ def row(name: str, rows: list[list[Fraction]], verdict: str, times: list[float])
             f"{statistics.median(times):>9.4f}")
 
 
-def oracle_row(name: str, rows: list[list[Fraction]], runs: int) -> str:
+def timed(decide, runs: int = 3) -> tuple[str, list[float]]:
+    """The verdict of decide() and the wall times of runs calls."""
     times = []
     for _ in range(runs):
         start = time.perf_counter()
-        verdict = is_psd_exact(rows).verdict
+        verdict = decide().verdict
         times.append(time.perf_counter() - start)
-    return row(name, rows, verdict, times)
+    return verdict, times
+
+
+def oracle_row(name: str, rows: list[list[Fraction]], runs: int) -> str:
+    return row(name, rows, *timed(lambda: is_psd_exact(rows), runs))
 
 
 def decide_form_row(name: str, form: AlmostDiagonalForm) -> str:
-    times = []
-    for _ in range(3):
-        start = time.perf_counter()
-        verdict = decide_form(form).verdict
-        times.append(time.perf_counter() - start)
+    verdict, times = timed(lambda: decide_form(form))
     seen = []
 
     def spy(rows):
@@ -114,12 +120,19 @@ def decide_form_row(name: str, form: AlmostDiagonalForm) -> str:
     return row(name, seen[0], verdict, times)
 
 
+def recipe_row(name: str, form: AlmostDiagonalForm, rows: list[list[Fraction]]) -> str:
+    fold_top = [(SubsetIndex((1 << form.n) - 1, form.n), SubsetIndex(0, form.n))]
+    return row(name, rows, *timed(lambda: certify_recipe(form, fold_top)))
+
+
 def main() -> int:
     print(f"{'input':<28} {'size':>5} {'bits':>5} {'verdict':>7} {'seconds':>9}")
     for n in (5, 6, 7):
         form = knapsack_covering(n)
-        print(oracle_row(f"knapsack-covering n={n}", assemble(form), 1 if n == 7 else 3), flush=True)
+        rows = assemble(form)
+        print(oracle_row(f"knapsack-covering n={n}", rows, 1 if n == 7 else 3), flush=True)
         print(decide_form_row(f"decide_form covering n={n}", form), flush=True)
+        print(recipe_row(f"recipe covering n={n}", form, rows), flush=True)
     print(oracle_row(f"adf-perturbed n={ADF_N} t={workloads.ADF_LEVEL}", perturbed_adf(), 3),
           flush=True)
     print(transform_row(), flush=True)
