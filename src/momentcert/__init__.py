@@ -79,11 +79,9 @@ from .lattice import (
     to_pseudo_probabilities,
 )
 from .moments import (
-    MomentMatrix,
     ZetaBlock,
     constraint_diagonal,
     extract_distribution,
-    full_diagonalize,
     moment_matrix,
     shift,
 )

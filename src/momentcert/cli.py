@@ -305,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--instance", help="instance JSON file")
     dec.add_argument("--level", type=int, required=True, help="truncation level t")
     dec.add_argument("--out", required=True, help="output ADF JSON path")
-    dec.set_defaults(func=cmd_decompose)
 
     cert = sub.add_parser("certify", help="PSD certificate for a form or matrix")
     csrc = cert.add_mutually_exclusive_group(required=True)
@@ -323,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="embed every intermediate working matrix in the certificate",
     )
     cert.add_argument("--out", required=True, help="output certificate JSON path")
-    cert.set_defaults(func=cmd_certify)
 
     gap = sub.add_parser("gap", help="build, solve, and certify a gap instance")
     gsub = gap.add_subparsers(dest="family", required=True)
@@ -354,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument(
             "--trace", action="store_true", help="embed working matrices"
         )
-        sp.set_defaults(func=cmd_gap)
 
     rep = sub.add_parser(
         "replay",
@@ -362,15 +359,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     rep.add_argument("--eps", default="1/16", help="demand parameter")
     rep.add_argument("--out", required=True, help="output replay JSON path")
-    rep.set_defaults(func=cmd_replay)
 
     return parser
 
 
+# Built once per process; main looks the command up at call time.
+_PARSER = build_parser()
+
+
 def main(argv: Union[Sequence[str], None] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -16,6 +16,9 @@ the cheap fractional solution therefore pins down an integrality gap.
 * schedule: n^2 jobs in n groups with geometrically weighted covering
   constraints. The uniform low-cardinality solution is feasible once
   the weight base P is large enough, against an integral cost of n.
+  Its covering matrices are built by moment_matrix from the sparse
+  pseudo-probabilities of each shifted solution, without a dense pass
+  over the 2^(n^2) job subsets, and are decided by the exact oracle.
 
 The lifted variant of the knapsack constraint (one always-picked extra
 item, demand 1 + 1/P) is certified by lifting the reduced solution with
@@ -25,7 +28,7 @@ the lifted matrices stays available as a cross-check at small n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Iterator, Union
@@ -57,7 +60,7 @@ from .lattice import (
     rat_str,
     to_pseudo_probabilities,
 )
-from .moments import constraint_diagonal
+from .moments import constraint_diagonal, moment_matrix
 
 # Largest ground set the brute-force integral optima will enumerate.
 BRUTE_FORCE_MAX_VARS = 20
@@ -82,8 +85,6 @@ class GapReport:
 
     certificates is a list of (target, certificate) pairs, one per matrix
     examined, in a fixed order so serialized reports are reproducible.
-    extras carries family-specific objects for callers and tests; it is
-    not serialized.
     """
 
     instance: Instance
@@ -91,7 +92,6 @@ class GapReport:
     gap: Fraction
     objective: Fraction
     certificates: list[tuple[str, PsdCertificate]]
-    extras: dict = field(default_factory=dict)
 
     @property
     def feasible(self) -> bool:
@@ -278,7 +278,6 @@ def verify_knapsack_level(n: int, P: RationalLike) -> GapReport:
         objective=objective,
         certificates=[("moment-matrix", moment_cert)]
         + _recipe_and_oracle("covering", zform, fold_top),
-        extras={"y_pseudo": p},
     )
 
 
@@ -612,31 +611,6 @@ def schedule_solution(instance: ScheduleInstance) -> LatticeVector:
     return uniform_low_cardinality(instance.jobs, instance.level_cap)
 
 
-def _sparse_moment_rows(
-    zp: LatticeVector, t: int
-) -> tuple[list[SubsetIndex], list[list[Fraction]]]:
-    """Moment matrix rows at level t from a sparse pseudo vector.
-
-    Entry (I, J) is the superset sum of the pseudo-probabilities over
-    I union J; iterating the nonzero pseudo entries per matrix entry
-    avoids any dense 2^N pass over the job set.
-    """
-    index = enumerate_subsets(zp.n, t)
-    nonzero = list(zp.items())
-    rows = []
-    for a in index:
-        row = []
-        for b in index:
-            u = a.bits | b.bits
-            acc = Fraction(0)
-            for mask, val in nonzero:
-                if u & ~mask == 0:
-                    acc += val
-            row.append(acc)
-        rows.append(row)
-    return index, rows
-
-
 def _covering_certificates(
     instance: ScheduleInstance, p: LatticeVector
 ) -> Iterator[PsdCertificate]:
@@ -647,8 +621,7 @@ def _covering_certificates(
     """
     for level in range(1, instance.n + 1):
         zp = constraint_diagonal(instance.covering_constraint(level), p)
-        _, rows = _sparse_moment_rows(zp, instance.level_cap - 1)
-        yield is_psd_exact(rows)
+        yield is_psd_exact(moment_matrix(zp, instance.level_cap - 1))
 
 
 def verify_schedule(instance: ScheduleInstance) -> GapReport:
@@ -663,8 +636,7 @@ def verify_schedule(instance: ScheduleInstance) -> GapReport:
     """
     p = schedule_solution(instance)
     cap = instance.level_cap
-    moment_form = decompose(from_pseudo_probabilities(p), cap)
-    moment_cert = certify_recipe(moment_form)
+    moment_cert = certify_recipe(decompose(from_pseudo_probabilities(p), cap))
     certificates: list[tuple[str, PsdCertificate]] = [
         ("moment-matrix", moment_cert)
     ]
@@ -683,7 +655,6 @@ def verify_schedule(instance: ScheduleInstance) -> GapReport:
         level=cap - 1,
         gap=Fraction(instance.n) / Fraction(instance.level_cap),
         objective=objective,
-        extras={"moment_terms_empty": not moment_form.terms},
         certificates=certificates,
     )
 

@@ -1,21 +1,24 @@
-"""Moment matrices, constraint shifts, and the full-lattice diagonalization.
+"""Moment matrices, constraint shifts, and the zeta blocks.
 
-The truncated moment matrix of a vector w at level t is indexed by the
+The truncated moment matrix of a vector at level t is indexed by the
 subsets of cardinality at most t in graded order, with entry (I, J) equal
-to w_{I union J}. Shifting a moment vector by a constraint polynomial g
-produces the vector z with z_I = sum_K g_K * w_{I union K}; the moment
-matrix of z is the localizing matrix of g.
+to the moment at I union J. moment_matrix is its one builder and takes
+either vector kind: a moment vector is read at each union, and a
+pseudo-probability vector gives the moment at a union as the superset sum
+of its nonzero entries, summed once per distinct union, so no dense 2^n
+pass runs. Shifting a moment vector by a constraint polynomial g produces
+the vector z with z_I = sum_K g_K * w_{I union K}; the moment matrix of z
+is the localizing matrix of g.
 
 At the full level t = n the moment matrix factors exactly through the
 subset-inclusion zeta matrix Z as
 
     M_n(w) = Z * Diag(p) * Z^T
 
-with p the pseudo-probability vector of w. Every entry of the product on
-the right is a plain superset sum of p over the union of its row and
-column labels. full_diagonalize only round-trips the transforms (zeta of
-the Moebius image gives w back); the independent check of the product is
-the literal Z * Diag(p) * Z^T of acceptance criterion 1.
+with p the pseudo-probability vector of w: entry (I, J) of the product
+is the superset sum of p over I union J, which is what moment_matrix
+reads off p. Acceptance criterion 1 checks that identity against the
+literal product.
 """
 
 from __future__ import annotations
@@ -32,32 +35,10 @@ from .lattice import (
     LatticeVector,
     SubsetIndex,
     enumerate_subsets,
-    from_pseudo_probabilities,
     to_pseudo_probabilities,
 )
 
 ZETA_BLOCK_MAX_N = 12
-
-
-class MomentMatrix:
-    """Symmetric matrix indexed by P_t(N) with entries from a moment vector."""
-
-    __slots__ = ("n", "t", "index", "rows")
-
-    def __init__(
-        self,
-        n: int,
-        t: int,
-        index: Sequence[SubsetIndex],
-        rows: Sequence[Sequence[Fraction]],
-    ) -> None:
-        self.n = n
-        self.t = t
-        self.index = list(index)
-        self.rows = [list(r) for r in rows]
-        size = len(self.index)
-        if any(len(r) != size for r in self.rows) or len(self.rows) != size:
-            raise LatticeError("moment matrix is not square over its index")
 
 
 def shift(g: ConstraintPolynomial, y: LatticeVector) -> LatticeVector:
@@ -80,13 +61,28 @@ def shift(g: ConstraintPolynomial, y: LatticeVector) -> LatticeVector:
     return LatticeVector.from_dense(y.n, MOMENTS, out)
 
 
-def moment_matrix(w: LatticeVector, t: int) -> MomentMatrix:
-    """Truncated moment matrix M_t(w) in graded order."""
-    if w.kind != MOMENTS:
-        raise LatticeError("moment_matrix expects a moment vector")
-    index = enumerate_subsets(w.n, t)
-    rows = [[w.get(a.bits | b.bits) for b in index] for a in index]
-    return MomentMatrix(w.n, t, index, rows)
+def moment_matrix(v: LatticeVector, t: int) -> list[list[Fraction]]:
+    """Rows of the truncated moment matrix M_t in graded order.
+
+    Entry (I, J) is the moment at I union J: read from a moment vector,
+    or summed from a pseudo-probability vector over its nonzero entries
+    at supersets of the union.
+    """
+    index = enumerate_subsets(v.n, t)
+    if v.kind == MOMENTS:
+        moment = v.get
+    else:
+        nonzero = list(v.items())
+        sums: dict[int, Fraction] = {}
+
+        def moment(union: int) -> Fraction:
+            if union not in sums:
+                sums[union] = sum(
+                    (val for mask, val in nonzero if union & ~mask == 0), Fraction(0)
+                )
+            return sums[union]
+
+    return [[moment(a.bits | b.bits) for b in index] for a in index]
 
 
 # ---------------------------------------------------------------------------
@@ -140,24 +136,6 @@ class ZetaBlock:
                     row.append(0)
             out.append(row)
         return out
-
-
-def full_diagonalize(w: LatticeVector) -> tuple[LatticeVector, bool]:
-    """Pseudo-probabilities of w plus a round-trip flag.
-
-    Returns (p, verified) where p is the Moebius transform of w and
-    verified says whether the zeta transform of p gives w back. Entry
-    (I, J) of Z * Diag(p) * Z^T is the zeta image of p at I union J, so
-    the round trip is that product's entries over every union; it is not
-    an independent check. Acceptance criterion 1 compares the literal
-    product against M_n(w) for that.
-    """
-    if w.n > ZETA_BLOCK_MAX_N:
-        raise LatticeError(
-            f"full diagonalization is limited to n <= {ZETA_BLOCK_MAX_N}"
-        )
-    p = to_pseudo_probabilities(w)
-    return p, from_pseudo_probabilities(p) == w
 
 
 def constraint_diagonal(

@@ -31,7 +31,6 @@ from momentcert import (
     find_min_feasible_P,
     from_pseudo,
     from_pseudo_probabilities,
-    full_diagonalize,
     gershgorin,
     g_vector,
     is_psd_exact,
@@ -42,6 +41,7 @@ from momentcert import (
     quad_eval,
     quadratic_form,
     replay_demand_reduction,
+    schedule_solution,
     shift,
     stage_matrices,
     to_pseudo_probabilities,
@@ -98,11 +98,11 @@ def test_criterion_1_full_level_diagonalization(capsys):
     for n in range(1, 11):
         for _ in range(50):
             w = random_moments(n, rng)
-            p, verified = full_diagonalize(w)
-            # verified is the entrywise claim: entry (I, J) of
-            # Z Diag(p) Z^T is the superset sum of p over I union J,
-            # which from_pseudo_probabilities evaluates at every union.
-            assert verified
+            p = to_pseudo_probabilities(w)
+            # the entrywise claim: entry (I, J) of Z Diag(p) Z^T is the
+            # superset sum of p over I union J, which
+            # from_pseudo_probabilities evaluates at every union.
+            assert from_pseudo_probabilities(p) == w
             checked += 1
     # literal matrix product cross-check at small n, so the superset-sum
     # reduction above is itself validated against Z Diag(p) Z^T
@@ -301,7 +301,7 @@ def test_criterion_5_uniform_disk_radii(capsys, knapsack_reports):
     reports, _ = knapsack_reports
     for (n, k), report in reports.items():
         P = F(k << (2 * n + 1))
-        p_empty = report.extras["y_pseudo"].get(0)
+        p_empty = knapsack_solution(n, P).get(0)
         expected = ((1 << n) - 2) * p_empty / P
         disks = report.certificate("covering").final_disks
         assert disks.radii == [expected] * len(disks.radii), (n, k)
@@ -318,10 +318,11 @@ def test_criterion_6_trace_identity_and_mass_bound(capsys, knapsack_reports):
     # exact trace identity on every constructed solution
     for (n, k), report in reports.items():
         P = F(k << (2 * n + 1))
-        y = from_pseudo_probabilities(report.extras["y_pseudo"])
+        p = knapsack_solution(n, P)
+        y = from_pseudo_probabilities(p)
         check = trace_bound_check(n, P, y)
         z_empty = shift(knapsack_constraint(n, P), y).get(0)
-        p_empty = report.extras["y_pseudo"].get(0)
+        p_empty = p.get(0)
         assert check.trace == z_empty - ((1 << n) - 2) * p_empty / P, (n, k)
         assert check.matrix_psd and check.bound_holds
 
@@ -448,7 +449,7 @@ def test_criterion_8_scheduling_family(capsys):
     assert pstar == 14
     report = verify_schedule(build_schedule(4, 2, pstar))
     assert report.feasible
-    assert report.extras["moment_terms_empty"]
+    assert not from_pseudo(schedule_solution(report.instance), 2).terms
     assert report.certificate("moment-matrix").verdict == "PSD"
     for level in range(1, 5):
         assert report.certificate(f"covering-{level}").verdict == "PSD"

@@ -125,7 +125,7 @@ def test_assemble_is_conjugated_moment_matrix(n, t):
     form = decompose(w, t)
     blocks = ZetaBlock.build(n, t)
     inv = [[F(v) for v in row] for row in blocks.a_inverse()]
-    m = moment_matrix(w, t).rows
+    m = moment_matrix(w, t)
     conj = matmul(matmul(inv, m), [list(row) for row in zip(*inv)])
     assert assemble(form) == conj
 
@@ -160,7 +160,7 @@ def test_head_and_tail_blocks_rebuild_the_moment_matrix(n, t):
         ]
         for i in range(len(head))
     ]
-    m = moment_matrix(w, t).rows
+    m = moment_matrix(w, t)
     for i in range(len(head)):
         for j in range(len(head)):
             assert head[i][j] + tail[i][j] == m[i][j]

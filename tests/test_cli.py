@@ -474,6 +474,14 @@ def test_internal_error_exits_5_with_a_traceback(monkeypatch, tmp_path, capsys):
     assert "RuntimeError: boom" in err
 
 
+def test_main_reuses_the_parser_built_at_import(monkeypatch, tmp_path):
+    def refuse():
+        raise AssertionError("the parser is rebuilt per call")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    assert main(["replay", "--out", str(tmp_path / "r.json")]) == 0
+
+
 def test_module_entry_point_exits_2_on_a_missing_input(tmp_path):
     src_dir = os.path.dirname(os.path.dirname(momentcert.__file__))
     env = dict(os.environ, PYTHONPATH=src_dir)

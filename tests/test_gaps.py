@@ -140,7 +140,7 @@ def test_verify_knapsack_radius_formula_across_sizes():
     for n, k in [(2, 1), (3, 2), (4, 1)]:
         P = k << (2 * n + 1)
         report = verify_knapsack_level(n, P)
-        p_empty = report.extras["y_pseudo"].get(0)
+        p_empty = knapsack_solution(n, P).get(0)
         expected = ((1 << n) - 2) * p_empty / P
         disks = report.certificate("covering").final_disks
         assert disks.radii == [expected] * len(disks.radii)
@@ -213,9 +213,9 @@ def test_lifted_solution_stays_feasible_at_the_next_level():
     instance = build_knapsack(3, 256)
     y = from_pseudo_probabilities(knapsack_solution(3, 256))
     lifted = lift_solution(y, 1)
-    assert is_psd_exact(moment_matrix(lifted, 2).rows).verdict == "PSD"
+    assert is_psd_exact(moment_matrix(lifted, 2)).verdict == "PSD"
     shifted = shift(instance.lifted_constraint(), lifted)
-    assert is_psd_exact(moment_matrix(shifted, 1).rows).verdict == "PSD"
+    assert is_psd_exact(moment_matrix(shifted, 1)).verdict == "PSD"
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +339,7 @@ def test_verify_schedule_at_the_known_feasible_base():
     assert report.gap == F(2)
     assert report.level == 1
     assert report.objective == F(256, 137)
-    assert report.extras["moment_terms_empty"]
+    assert not from_pseudo(schedule_solution(report.instance), 2).terms
     labels = [label for label, _ in report.certificates]
     assert labels == [
         "moment-matrix",

@@ -4,9 +4,12 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momentcert import (
     MOMENTS,
+    PSEUDO_PROBABILITIES,
     ConstraintPolynomial,
     LatticeError,
     LatticeVector,
@@ -14,7 +17,7 @@ from momentcert import (
     constraint_diagonal,
     enumerate_subsets,
     extract_distribution,
-    full_diagonalize,
+    from_pseudo_probabilities,
     moment_matrix,
     shift,
     to_pseudo_probabilities,
@@ -62,13 +65,31 @@ def test_shift_requires_moment_kind():
 
 def test_moment_matrix_entries_are_union_moments():
     w = random_moments(3, random.Random(11))
-    m = moment_matrix(w, 2)
-    assert [s.bits for s in m.index] == [
-        s.bits for s in enumerate_subsets(3, 2)
-    ]
-    for i, si in enumerate(m.index):
-        for j, sj in enumerate(m.index):
-            assert m.rows[i][j] == w.get(si.bits | sj.bits)
+    rows = moment_matrix(w, 2)
+    index = enumerate_subsets(3, 2)
+    assert len(rows) == len(index)
+    for i, si in enumerate(index):
+        assert len(rows[i]) == len(index)
+        for j, sj in enumerate(index):
+            assert rows[i][j] == w.get(si.bits | sj.bits)
+
+
+@st.composite
+def sparse_pseudo_vectors(draw):
+    n = draw(st.integers(1, 6))
+    values = st.fractions(min_value=-4, max_value=4, max_denominator=7)
+    entries = draw(st.dictionaries(st.integers(0, (1 << n) - 1), values, max_size=8))
+    t = draw(st.integers(0, n))
+    return LatticeVector(n, PSEUDO_PROBABILITIES, entries), t
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_pseudo_vectors())
+def test_moment_matrix_of_pseudo_vector_matches_its_moments(case):
+    # The superset sums read off the sparse pseudo entries equal the
+    # moments that the zeta transform gives at every union.
+    p, t = case
+    assert moment_matrix(p, t) == moment_matrix(from_pseudo_probabilities(p), t)
 
 
 def test_moment_matrix_level_bounds():
@@ -112,8 +133,8 @@ def test_full_diagonalize_matches_dense_congruence(n):
     # full moment matrix entry by entry.
     rng = random.Random(100 + n)
     w = random_moments(n, rng)
-    p, verified = full_diagonalize(w)
-    assert verified
+    p = to_pseudo_probabilities(w)
+    assert from_pseudo_probabilities(p) == w
     size = 1 << n
     zeta = [
         [1 if i & j == i else 0 for j in range(size)] for i in range(size)

@@ -21,6 +21,12 @@ term into the empty-set row and the disk pass that settles it, as
 verify_knapsack_level runs it; its size and bits are those of the
 assembled covering form.
 
+Two schedule covering lines, for n = 4, k = 2 at P = 13 and at P = 14
+(the smallest feasible base), time moment_matrix on the sparse
+pseudo-probabilities of the level-4 covering plus is_psd_exact on its
+rows, as verify_schedule runs them; size and bits are those rows'. The
+level-4 covering is PSD at both bases; at P = 13 covering-1 fails.
+
 The last line times the transform pair that verify_schedule runs:
 from_pseudo_probabilities and then, inside decompose,
 to_pseudo_probabilities, on the schedule solution for n = 4, k = 2,
@@ -59,7 +65,7 @@ from momentcert.lattice import (  # noqa: E402
     from_pseudo_probabilities,
     to_pseudo_probabilities,
 )
-from momentcert.moments import constraint_diagonal  # noqa: E402
+from momentcert.moments import constraint_diagonal, moment_matrix  # noqa: E402
 import workloads  # noqa: E402
 
 ADF_N = 8
@@ -125,6 +131,14 @@ def recipe_row(name: str, form: AlmostDiagonalForm, rows: list[list[Fraction]]) 
     return row(name, rows, *timed(lambda: certify_recipe(form, fold_top)))
 
 
+def schedule_covering_row(P: int) -> str:
+    instance = build_schedule(4, 2, P)
+    zp = constraint_diagonal(instance.covering_constraint(4), schedule_solution(instance))
+    t = instance.level_cap - 1
+    verdict, times = timed(lambda: is_psd_exact(moment_matrix(zp, t)))
+    return row(f"schedule covering-4 P={P}", moment_matrix(zp, t), verdict, times)
+
+
 def main() -> int:
     print(f"{'input':<28} {'size':>5} {'bits':>5} {'verdict':>7} {'seconds':>9}")
     for n in (5, 6, 7):
@@ -135,6 +149,8 @@ def main() -> int:
         print(recipe_row(f"recipe covering n={n}", form, rows), flush=True)
     print(oracle_row(f"adf-perturbed n={ADF_N} t={workloads.ADF_LEVEL}", perturbed_adf(), 3),
           flush=True)
+    for P in (13, 14):
+        print(schedule_covering_row(P), flush=True)
     print(transform_row(), flush=True)
     return 0
 
