@@ -20,6 +20,14 @@ form and hands that index to g_vector for every term. The one other form
 is built by certify.decide_form: the Schur complement of a form onto its
 nonpositive diagonal rows, again a diagonal plus rank-one terms, which it
 only assembles and decides.
+
+assemble densifies a form for the exact oracle. It sums the rank-one
+terms as Python ints over one common denominator: each term's vector is
+scaled to integers, every product lands in one integer upper triangle at
+the term's nonzeros, and each nonzero entry becomes a single Fraction at
+the end. The same kernel serves G(J) terms and decide_form's rational
+vectors. add_rank_one, the in-place Fraction update, serves the pivot
+state in certify.
 """
 
 from __future__ import annotations
@@ -64,7 +72,8 @@ def g_vector(J: SubsetIndex, index: Sequence[SubsetIndex]) -> list[Fraction]:
     by_card = [
         Fraction((-1) ** (t - i) * math.comb(jcard - i - 1, t - i)) for i in range(t + 1)
     ]
-    return [Fraction(0) if I.bits & ~jbits else by_card[I.cardinality] for I in index]
+    zero = Fraction(0)
+    return [zero if I.bits & ~jbits else by_card[I.cardinality] for I in index]
 
 
 def add_rank_one(
@@ -122,16 +131,17 @@ class AlmostDiagonalForm:
         return len(self.index)
 
     def to_json_dict(self) -> dict:
+        labels = [str(s) for s in self.index]
         return {
             "n": self.n,
             "t": self.t,
-            "diag": {str(s): rat_str(v) for s, v in zip(self.index, self.diag)},
+            "diag": {label: rat_str(v) for label, v in zip(labels, self.diag)},
             "terms": [
                 {
                     "J": str(term.J),
                     "coeff": rat_str(term.coefficient),
                     "support": [
-                        [str(self.index[k]), rat_str(v)]
+                        [labels[k], rat_str(v)]
                         for k, v in enumerate(term.g_vec)
                         if v
                     ],
@@ -167,12 +177,20 @@ class AlmostDiagonalForm:
                 raise AdfError(f"diagonal label {key} is outside P_t or listed twice")
             stated[s.bits] = rat(value)
         supports: dict[int, list[tuple[int, Fraction]]] = {}
+        # Support labels and values repeat across terms, so each distinct
+        # string is parsed, and checked, once per payload.
+        label_bits: dict[str, int] = {}
+        values: dict[str, Fraction] = {}
+
+        def bits_of(label) -> int:
+            return SubsetIndex.parse(label, n).bits
+
         for item in terms_raw:
             try:
                 J = SubsetIndex.parse(item["J"], n)
                 coeff = rat(item["coeff"])
                 support = sorted(
-                    (SubsetIndex.parse(label, n).bits, rat(value))
+                    (_parse_once(label_bits, bits_of, label), _parse_once(values, rat, value))
                     for label, value in item["support"]
                 )
             except (KeyError, TypeError, ValueError) as exc:
@@ -189,6 +207,19 @@ class AlmostDiagonalForm:
             if supports[term.J.bits] != sorted(built):
                 raise AdfError(f"support of term {term.J} does not match G(J)")
         return form
+
+
+def _parse_once(cache: dict, parse, text):
+    """parse(text), kept in cache when text is a string and reused from there.
+
+    Only strings are kept: a float or a bool equals an int key, and must
+    still reach parse to be refused or converted as before.
+    """
+    if type(text) is not str:
+        return parse(text)
+    if text not in cache:
+        cache[text] = parse(text)
+    return cache[text]
 
 
 def from_pseudo(p: LatticeVector, t: int) -> AlmostDiagonalForm:
@@ -219,13 +250,43 @@ def decompose(w: LatticeVector, t: int) -> AlmostDiagonalForm:
 
 
 def assemble(form: AlmostDiagonalForm) -> list[list[Fraction]]:
-    """Dense symmetric matrix Diag + sum of coeff * g g^T."""
+    """Dense symmetric matrix Diag + sum of coeff * g g^T, summed over one denominator.
+
+    Each term's vector is scaled to integers h = d g by the lcm d of its
+    denominators, so its coefficient becomes c / d^2. With L the lcm of
+    those coefficient denominators, every term adds the integers
+    (c L / d^2) h_i h_j to one upper triangle over the nonzeros of h, and
+    each nonzero entry of the sum becomes one Fraction over L, mirrored
+    below the diagonal. Any rational form takes this path: G(J) terms
+    from from_pseudo as well as decide_form's Schur complement vectors.
+    """
     size = form.size()
-    rows = [[Fraction(0)] * size for _ in range(size)]
-    for k, val in enumerate(form.diag):
-        rows[k][k] = val
+    scaled: list[tuple[Fraction, list[tuple[int, int]]]] = []
+    L = 1
     for term in form.terms:
-        add_rank_one(rows, term.coefficient, term.g_vec)
+        c = term.coefficient
+        nz = [(k, v) for k, v in enumerate(term.g_vec) if v]
+        if not c or not nz:
+            continue
+        d = math.lcm(*(v.denominator for _, v in nz))
+        w = Fraction(c.numerator, c.denominator * d * d)
+        scaled.append((w, [(k, v.numerator * (d // v.denominator)) for k, v in nz]))
+        L = math.lcm(L, w.denominator)
+    upper = [[0] * size for _ in range(size)]
+    for w, nz in scaled:
+        m = w.numerator * (L // w.denominator)
+        for a, (ki, hi) in enumerate(nz):
+            row = upper[ki]
+            mh = m * hi
+            for kj, hj in nz[a:]:
+                row[kj] += mh * hj
+    zero = Fraction(0)
+    rows = [[zero] * size for _ in range(size)]
+    for i, row in enumerate(upper):
+        rows[i][i] = form.diag[i] + Fraction(row[i], L) if row[i] else form.diag[i]
+        for j in range(i + 1, size):
+            if row[j]:
+                rows[i][j] = rows[j][i] = Fraction(row[j], L)
     return rows
 
 

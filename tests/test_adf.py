@@ -13,6 +13,7 @@ from momentcert import (
     AdfError,
     AlmostDiagonalForm,
     LatticeVector,
+    RankOneTerm,
     SubsetIndex,
     ZetaBlock,
     assemble,
@@ -24,6 +25,7 @@ from momentcert import (
     quadratic_form,
     to_pseudo_probabilities,
 )
+from momentcert.adf import add_rank_one
 
 
 def random_moments(n, rng):
@@ -166,6 +168,57 @@ def test_head_and_tail_blocks_rebuild_the_moment_matrix(n, t):
             assert head[i][j] + tail[i][j] == m[i][j]
 
 
+def fraction_assemble(form):
+    """Reference for assemble: Diag plus each term added in Fractions."""
+    size = form.size()
+    rows = [[F(0)] * size for _ in range(size)]
+    for k, val in enumerate(form.diag):
+        rows[k][k] = val
+    for term in form.terms:
+        add_rank_one(rows, term.coefficient, term.g_vec)
+    return rows
+
+
+rationals = st.builds(F, st.integers(-40, 40), st.integers(1, 12))
+
+
+@st.composite
+def sparse_pseudo_forms(draw):
+    n = draw(st.integers(0, 6))
+    t = draw(st.integers(0, n))
+    values = draw(st.dictionaries(st.integers(0, (1 << n) - 1), rationals, max_size=10))
+    form = from_pseudo(LatticeVector(n, PSEUDO_PROBABILITIES, values), t)
+    if n > t and draw(st.booleans()):
+        # the zero-coefficient top term trace_bound_check keeps
+        top = SubsetIndex((1 << n) - 1, n)
+        form.terms.append(RankOneTerm(top, F(0), g_vector(top, form.index)))
+    return form
+
+
+@st.composite
+def rational_forms(draw):
+    # free diagonal plus rational, non-integer vectors, as in decide_form's
+    # Schur complement, with zero coefficients and all-zero vectors mixed in
+    size = draw(st.integers(0, 8))
+    diag = draw(st.lists(rationals, min_size=size, max_size=size))
+    vectors = st.lists(rationals | st.just(F(0)), min_size=size, max_size=size)
+    terms = [
+        RankOneTerm(SubsetIndex(0, 3), coeff, vec)
+        for coeff, vec in draw(st.lists(st.tuples(rationals, vectors), max_size=6))
+    ]
+    if draw(st.booleans()):
+        terms.append(RankOneTerm(SubsetIndex(0, 3), draw(rationals), [F(0)] * size))
+    return AlmostDiagonalForm(3, 3, [SubsetIndex(k, 3) for k in range(size)], diag, terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_pseudo_forms() | rational_forms())
+def test_assemble_equals_the_fraction_rank_one_sum(form):
+    dense = assemble(form)
+    assert dense == fraction_assemble(form)
+    assert all(type(x) is F for row in dense for x in row)
+
+
 def test_quadratic_form_matches_assembled_matrix():
     rng = random.Random(77)
     w = random_moments(4, rng)
@@ -224,6 +277,25 @@ def test_adf_json_rejects_terms_decompose_cannot_write():
         with pytest.raises(AdfError):
             AlmostDiagonalForm.from_json_dict(dict(good, terms=[bad]))
 
+
+
+def test_adf_json_repeated_bad_strings_fail_with_the_same_message():
+    p = LatticeVector(3, PSEUDO_PROBABILITIES, {0b000: 1, 0b011: "1/2", 0b101: "1/3"})
+    good = from_pseudo(p, 1).to_json_dict()
+    for bad, message in (
+        (["{1,x}", "1"], "malformed rank-one term: not a subset: '{1,x}'"),
+        (["{}", "1.5"], "malformed rank-one term: not a rational: '1.5'"),
+        (["{}", 1.0], "malformed rank-one term: not a rational: 1.0"),
+    ):
+        # in the second term only, after the first has been read, and in both
+        for first_too in (False, True):
+            terms = [
+                dict(term, support=[bad] + term["support"]) if k or first_too else term
+                for k, term in enumerate(good["terms"])
+            ]
+            with pytest.raises(AdfError) as err:
+                AlmostDiagonalForm.from_json_dict(dict(good, terms=terms))
+            assert str(err.value) == message
 
 
 @st.composite

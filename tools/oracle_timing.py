@@ -1,4 +1,4 @@
-"""Wall time of the exact oracle, of decide_form, of the pivot recipe and of the lattice transforms.
+"""Wall time of the oracle, decide_form, the pivot recipe, assemble and the lattice transforms.
 
     python3 tools/oracle_timing.py
 
@@ -34,6 +34,14 @@ P = 20 (16 jobs, so 2^16 lattice entries). Its size is the entry count;
 it also gives the bit length of the largest numerator on either
 side, "exact" when the round trip returns the input, and the median of 3
 runs of the pair.
+
+Two assemble lines time assemble alone on the perturbed adf forms at
+n = 8 and n = 9 (the same seed, level 2), the densification every
+perturbed adf job runs before the oracle. Size and bits are those of the
+assembled matrix and the verdict column is "-"; each line ends with the
+form's term count and its rank-one updates, the sum of nnz(g)^2 over its
+terms (perfbench's adf.assemble.updates counter), and gives the median of
+3 runs.
 """
 
 from __future__ import annotations
@@ -78,12 +86,12 @@ def knapsack_covering(n: int) -> AlmostDiagonalForm:
     return from_pseudo(constraint_diagonal(knapsack_constraint(n, P), p), n - 1)
 
 
-def perturbed_adf() -> list[list[Fraction]]:
+def perturbed_adf(n: int) -> AlmostDiagonalForm:
     rng = random.Random(ADF_SEED)
-    numer, total = workloads.measure_moments(rng, ADF_N)
-    numer[1 << rng.randrange(ADF_N)] = -rng.randint(1, 9)
-    w = LatticeVector(ADF_N, MOMENTS, {m: Fraction(v, total) for m, v in enumerate(numer)})
-    return assemble(from_pseudo(to_pseudo_probabilities(w), workloads.ADF_LEVEL))
+    numer, total = workloads.measure_moments(rng, n)
+    numer[1 << rng.randrange(n)] = -rng.randint(1, 9)
+    w = LatticeVector(n, MOMENTS, {m: Fraction(v, total) for m, v in enumerate(numer)})
+    return from_pseudo(to_pseudo_probabilities(w), workloads.ADF_LEVEL)
 
 
 def max_bits(rows: list[list[Fraction]]) -> int:
@@ -131,6 +139,18 @@ def recipe_row(name: str, form: AlmostDiagonalForm, rows: list[list[Fraction]]) 
     return row(name, rows, *timed(lambda: certify_recipe(form, fold_top)))
 
 
+def assemble_row(n: int) -> str:
+    form = perturbed_adf(n)
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        rows = assemble(form)
+        times.append(time.perf_counter() - start)
+    updates = sum(sum(1 for v in term.g_vec if v) ** 2 for term in form.terms)
+    return (row(f"assemble adf-perturbed n={n}", rows, "-", times)
+            + f"  terms={len(form.terms)} updates={updates}")
+
+
 def schedule_covering_row(P: int) -> str:
     instance = build_schedule(4, 2, P)
     zp = constraint_diagonal(instance.covering_constraint(4), schedule_solution(instance))
@@ -147,8 +167,10 @@ def main() -> int:
         print(oracle_row(f"knapsack-covering n={n}", rows, 1 if n == 7 else 3), flush=True)
         print(decide_form_row(f"decide_form covering n={n}", form), flush=True)
         print(recipe_row(f"recipe covering n={n}", form, rows), flush=True)
-    print(oracle_row(f"adf-perturbed n={ADF_N} t={workloads.ADF_LEVEL}", perturbed_adf(), 3),
-          flush=True)
+    print(oracle_row(f"adf-perturbed n={ADF_N} t={workloads.ADF_LEVEL}",
+                     assemble(perturbed_adf(ADF_N)), 3), flush=True)
+    for n in (8, 9):
+        print(assemble_row(n), flush=True)
     for P in (13, 14):
         print(schedule_covering_row(P), flush=True)
     print(transform_row(), flush=True)
