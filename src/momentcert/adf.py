@@ -16,18 +16,18 @@ Terms whose coefficient p_J is zero contribute nothing and are dropped.
 
 The form is fixed by p and t, so from_pseudo is the one builder: decompose
 and the JSON reader both go through it, and it enumerates P_t once per
-form and hands that index to g_vector for every term. The one other form
-is built by certify.decide_form: the Schur complement of a form onto its
-nonpositive diagonal rows, again a diagonal plus rank-one terms, which it
-only assembles and decides.
+form and hands that index to g_vector for every term. The other forms
+are built in certify, which only assembles and reads them: decide_form's
+Schur complement of a form onto its nonpositive diagonal rows, and the
+stages of a pivot state, the diagonal plus the folded terms.
 
 assemble densifies a form for the exact oracle. It sums the rank-one
 terms as Python ints over one common denominator: each term's vector is
 scaled to integers, every product lands in one integer upper triangle at
 the term's nonzeros, and each nonzero entry becomes a single Fraction at
-the end. The same kernel serves G(J) terms and decide_form's rational
-vectors. add_rank_one, the in-place Fraction update, serves the pivot
-state in certify.
+the end. The same kernel serves G(J) terms, decide_form's rational
+vectors and the pivot stages of certify, which stay forms; it is the one
+place rank-one terms are summed into a dense matrix.
 """
 
 from __future__ import annotations
@@ -74,25 +74,6 @@ def g_vector(J: SubsetIndex, index: Sequence[SubsetIndex]) -> list[Fraction]:
     ]
     zero = Fraction(0)
     return [zero if I.bits & ~jbits else by_card[I.cardinality] for I in index]
-
-
-def add_rank_one(
-    rows: list[list[Fraction]], coeff: Fraction, g: Sequence[Fraction]
-) -> None:
-    """rows += coeff * g g^T in place, touching only the support of g.
-
-    The update is symmetric, so each product coeff g_i g_j is formed once
-    and added at (i, j) and (j, i).
-    """
-    nz = [(k, v) for k, v in enumerate(g) if v]
-    for a, (ki, vi) in enumerate(nz):
-        row = rows[ki]
-        cvi = coeff * vi
-        row[ki] += cvi * vi
-        for kj, vj in nz[a + 1:]:
-            x = cvi * vj
-            row[kj] += x
-            rows[kj][ki] += x
 
 
 @dataclass

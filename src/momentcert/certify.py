@@ -3,21 +3,22 @@
 The cheap sufficient test is Gershgorin's: a symmetric matrix whose every
 diagonal entry is at least the sum of the absolute off-diagonal entries in
 its row is PSD. The test is one-sided, so when the raw disks fail we pivot:
-a rank-one term c * g g^T with g_S nonzero can be folded into the working
-matrix by the congruence that clears row S against g, leaving c * g_S^2
-added at (S, S) and every other term's vector updated in place. Pivoting
-preserves congruence, so a disk pass after any pivot sequence certifies the
-original matrix once the remaining unfolded terms are all PSD themselves.
+a rank-one term c * g g^T with g_S nonzero is cleared by the congruence
+that maps g to g_S e_S, leaving c * g_S^2 at (S, S) and every other term's
+vector updated in place. Pivoting preserves congruence, so a disk pass
+after any pivot sequence certifies the original matrix once the remaining
+unfolded terms are all PSD themselves.
 
-A pivot is itself a rank-one update. With T = I + sum_i m_i E_{i,s},
-sigma = W_ss and w' the off-diagonal nonzeros of row s of W,
+The pivot state stays an almost diagonal form throughout. With
+T = I + sum_i m_i E_{i,s} and D the diagonal,
 
-    T W T^T = W + m w'^T + w' m^T + sigma [(e_s + m)(e_s + m)^T - e_s e_s^T],
+    T D T^T = D - D_ss e_s e_s^T + D_ss (e_s + m)(e_s + m)^T,
 
-so pivot_reduce adds m_i w'_k at (i, k) and (k, i) over nonzeros only and,
-while row s of W is diagonal, keeps sigma (e_s + m)(e_s + m)^T as a
-folded term instead of filling the dense matrix; gershgorin reads the
-disks of the dense part plus the folded terms in closed form.
+and a rank-one term c u u^T maps to c (T u)(T u)^T, so a pivot resets one
+diagonal entry, maps the term vectors and appends at most one new term.
+gershgorin reads the disks of the diagonal plus the folded terms in
+closed form while no row is touched by two of them, and from assemble
+otherwise; assemble is the one place rank-one terms are summed densely.
 
 When no pivot sequence settles the question, is_psd_exact decides it by
 exact symmetric elimination over the rationals on one triangle: a bare PSD
@@ -38,12 +39,10 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .adf import AlmostDiagonalForm, RankOneTerm, add_rank_one, assemble
+from .adf import AlmostDiagonalForm, RankOneTerm, assemble
 from .lattice import LatticeError, SubsetIndex, rat_str
 
 Matrix = list[list[Fraction]]
-# Copies of a PivotState's working rows and folded terms.
-Snapshot = tuple[Matrix, list[RankOneTerm]]
 
 
 class CertifyError(LatticeError):
@@ -113,41 +112,37 @@ def gershgorin(source: Union[Sequence[Sequence[Fraction]], PivotState]) -> Gersh
     """Disk report for a symmetric matrix, or for a pivot state.
 
     Raw rows are validated symmetric first. A PivotState is symmetric by
-    construction, and its disks are those of working + sum of folded terms
-    (the unfolded terms are left out), read without building that matrix:
-    row i has center W_ii + sum c u_i^2. A row that one folded term (c, u)
-    touches has radius |c u_i| (|u|_1 - |u_i|) plus, over the nonzero
-    W_ik with k != i, |W_ik + c u_i u_k| - |c u_i u_k|; a row that several
-    touch is accumulated densely, and an untouched row is read as it is.
+    construction, and its disks are those of its stage, the diagonal plus
+    the folded terms (the unfolded terms are left out). While no row is
+    touched by two folded terms they are read in closed form: a row that
+    the term (c, u) touches has center D_i + c u_i^2 and radius
+    |c u_i| (|u|_1 - |u_i|), and an untouched row has center D_i and
+    radius 0. Otherwise the stage is assembled and read as rows.
     """
-    if isinstance(source, PivotState):
-        rows = source.working
-        folded = [(t.coefficient, t.g_vec, sum((abs(v) for v in t.g_vec if v), Fraction(0)))
-                  for t in source.folded]
-    else:
-        rows, folded = _check_symmetric(source), []
-    centers, radii = [], []
-    for i, row in enumerate(rows):
-        hits = [(c * u[i], u, l1) for c, u, l1 in folded if u[i]]
-        center = row[i]
-        for cu, u, _ in hits:
-            center += cu * u[i]
-        centers.append(center)
-        if len(hits) == 1:
-            cu, u, l1 = hits[0]
-            radius = abs(cu) * (l1 - abs(u[i]))
-            for k, v in enumerate(row):
-                if v and k != i:
-                    radius += abs(v + (x := cu * u[k])) - abs(x) if u[k] else abs(v)
-            radii.append(radius)
-            continue
-        acc = row[:]
-        for cu, u, _ in hits:
-            for k, x in enumerate(u):
-                if x:
-                    acc[k] += cu * x
-        radii.append(sum((abs(v) for k, v in enumerate(acc) if v and k != i), Fraction(0)))
+    if not isinstance(source, PivotState):
+        return _row_disks(_check_symmetric(source))
+    nonzeros = [[(k, v) for k, v in enumerate(t.g_vec) if v] for t in source.folded]
+    touched = [k for nz in nonzeros for k, _ in nz]
+    if len(touched) != len(set(touched)):
+        return _row_disks(assemble(source.stage()))
+    centers = source.diag[:]
+    radii = [Fraction(0)] * len(centers)
+    for term, nz in zip(source.folded, nonzeros):
+        l1 = sum((abs(v) for _, v in nz), Fraction(0))
+        for k, v in nz:
+            cu = term.coefficient * v
+            centers[k] += cu * v
+            radii[k] = abs(cu) * (l1 - abs(v))
     return GershgorinReport(centers, radii)
+
+
+def _row_disks(rows: Matrix) -> GershgorinReport:
+    """Disks of a symmetric matrix read row by row."""
+    return GershgorinReport(
+        [row[i] for i, row in enumerate(rows)],
+        [sum((abs(v) for k, v in enumerate(row) if v and k != i), Fraction(0))
+         for i, row in enumerate(rows)],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -168,37 +163,33 @@ class PivotStep:
 
 
 class PivotState:
-    """Dense working part, the terms pivots created, and the unfolded terms.
+    """A pivoted form: diagonal, the folded rank-one terms, and the unfolded terms.
 
-    Mutable and single-owner: pivot_reduce edits it in place. working holds
-    the diagonal plus the terms folded in densely (fold_term, and pivots at
-    a row that already has off-diagonal entries), and folded holds the
-    rank-one terms sigma (e_s + m)(e_s + m)^T that the other pivots create,
-    so that
+    Mutable and single-owner: pivot_reduce and fold_term edit it in place.
+    folded holds the terms sigma (e_s + m)(e_s + m)^T that pivots create
+    and the terms fold_term moves out of terms, so that
 
-        working + sum of folded + sum of remaining terms
+        Diag(diag) + sum of folded + sum of remaining terms
 
     is always congruent to the assembled input form, which is what makes a
-    final disk pass (gershgorin(state)) meaningful. A snapshot keeps copies
-    of working's rows and of the folded terms; PsdCertificate.trace_matrices
-    adds them up on first use.
+    final disk pass (gershgorin(state)) meaningful. The stage is the
+    diagonal plus the folded terms; a snapshot keeps a copy of it as a
+    form, and PsdCertificate.trace_matrices assembles each one.
     """
 
-    __slots__ = ("index", "working", "folded", "terms", "trace", "snapshots")
+    __slots__ = ("n", "t", "index", "diag", "folded", "terms", "trace", "snapshots")
 
     def __init__(self, form: AlmostDiagonalForm) -> None:
+        self.n, self.t = form.n, form.t
         self.index = list(form.index)
-        size = len(self.index)
-        self.working: Matrix = [[Fraction(0)] * size for _ in range(size)]
-        for k, val in enumerate(form.diag):
-            self.working[k][k] = val
+        self.diag = list(form.diag)
         self.folded: list[RankOneTerm] = []
         self.terms: list[RankOneTerm] = [
             RankOneTerm(term.J, term.coefficient, list(term.g_vec))
             for term in form.terms
         ]
         self.trace: list[PivotStep] = []
-        self.snapshots: list[Snapshot] = []
+        self.snapshots: list[AlmostDiagonalForm] = []
 
     def labels(self) -> list[str]:
         return [str(s) for s in self.index]
@@ -215,15 +206,19 @@ class PivotState:
                 return term
         raise CertifyError(f"term {J} is unknown or already reduced")
 
+    def stage(self) -> AlmostDiagonalForm:
+        """The diagonal plus the folded terms, as a form sharing their vectors."""
+        return AlmostDiagonalForm(self.n, self.t, self.index, self.diag, self.folded)
+
     def snapshot(self) -> None:
-        self.snapshots.append((
-            [row[:] for row in self.working],
+        self.snapshots.append(AlmostDiagonalForm(
+            self.n, self.t, self.index, self.diag,
             [RankOneTerm(t.J, t.coefficient, list(t.g_vec)) for t in self.folded],
         ))
 
     def fold_term(self, term: RankOneTerm) -> None:
-        add_rank_one(self.working, term.coefficient, term.g_vec)
         self.terms.remove(term)
+        self.folded.append(term)
 
     def fold_negative_terms(self) -> None:
         for term in [t for t in self.terms if t.coefficient < 0]:
@@ -231,21 +226,19 @@ class PivotState:
 
 
 def pivot_reduce(state: PivotState, H: SubsetIndex, S: SubsetIndex) -> PivotState:
-    """Fold term H by pivoting at row S, as rank-one updates.
+    """Fold term H by pivoting at row S, keeping the state an almost diagonal form.
 
     The congruence T = I + sum_i m_i E_{i,S} has m_i chosen to clear every
     other support entry of H, so T maps H's vector g to g_S e_S. With
-    sigma = W_ss and w' the off-diagonal nonzeros of row s of working,
+    sigma = D_ss,
 
-        T W T^T = W + m w'^T + w' m^T + sigma [(e_s + m)(e_s + m)^T - e_s e_s^T]:
+        T D T^T = D - sigma e_s e_s^T + sigma (e_s + m)(e_s + m)^T:
 
-    m_i w'_k is added at (i, k) and (k, i) over nonzeros only, every folded
-    and remaining vector v becomes T v = v + v_s m, W_ss becomes
-    coeff * g_S^2, and a nonzero sigma (e_s + m)(e_s + m)^T is appended to
-    folded when w' is empty, or added densely when it is not. The cost is
-    O(|m| |w'|) plus the term supports, not O(size |m|). Raises
-    InvalidPivotError when H has no support at S, CertifyError when H was
-    already reduced.
+    every folded and remaining vector v becomes T v = v + v_s m, D_ss
+    becomes coeff * g_S^2, and a nonzero sigma (e_s + m)(e_s + m)^T is
+    appended to folded. The cost is O(|m|) per vector with v_s nonzero.
+    Raises InvalidPivotError when H has no support at S, CertifyError when
+    H was already reduced.
     """
     term = state.find_term(H)
     s = state.position(S)
@@ -255,35 +248,20 @@ def pivot_reduce(state: PivotState, H: SubsetIndex, S: SubsetIndex) -> PivotStat
     mults = [
         (i, -v / gs) for i, v in enumerate(term.g_vec) if i != s and v
     ]
-    W = state.working
-    row_s = W[s]
-    sigma = row_s[s]
-    # Neither i nor k below is s, so these updates never touch row or column s.
-    off = [(k, v) for k, v in enumerate(row_s) if v and k != s]
-    for i, m in mults:
-        row_i = W[i]
-        for k, v in off:
-            mv = m * v
-            row_i[k] += mv
-            W[k][i] += mv
     state.terms.remove(term)
     for other in state.folded + state.terms:
         hs = other.g_vec[s]
         if hs:
             for i, m in mults:
                 other.g_vec[i] += m * hs
-    row_s[s] = term.coefficient * gs * gs
+    sigma = state.diag[s]
+    state.diag[s] = term.coefficient * gs * gs
     if sigma:
-        u = [Fraction(0)] * len(W)
+        u = [Fraction(0)] * len(state.diag)
         u[s] = Fraction(1)
         for i, m in mults:
             u[i] = m
-        # A kept term pays off while working is sparse; once row s has
-        # off-diagonal entries, every later disk pass would re-add it.
-        if off:
-            add_rank_one(W, sigma, u)
-        else:
-            state.folded.append(RankOneTerm(S, sigma, u))
+        state.folded.append(RankOneTerm(S, sigma, u))
     state.trace.append(PivotStep(H, S, mults))
     state.snapshot()
     return state
@@ -310,20 +288,12 @@ class PsdCertificate:
     final_disks: Union[GershgorinReport, None] = None
     witness: Union[list[Fraction], None] = None
     row_labels: Union[list[str], None] = None
-    snapshots: list[Snapshot] = field(default_factory=list)
+    snapshots: list[AlmostDiagonalForm] = field(default_factory=list)
 
     @property
     def trace_matrices(self) -> list[Matrix]:
-        """Each snapshot as one dense matrix, rows plus folded terms.
-
-        The first read adds each snapshot's folded terms into its own row
-        copies and empties the term list, so later reads only collect them.
-        """
-        for rows, folded in self.snapshots:
-            while folded:
-                t = folded.pop()
-                add_rank_one(rows, t.coefficient, t.g_vec)
-        return [rows for rows, _ in self.snapshots]
+        """Each snapshot, the diagonal plus the folded terms, as one dense matrix."""
+        return [assemble(form) for form in self.snapshots]
 
     @property
     def recipe_conclusive(self) -> bool:
@@ -486,8 +456,10 @@ def certify_recipe(
 
     Either way a failed recipe falls back to decide_form, and the
     certificate names the exact oracle as its method.
-    The disks are read once per state of the working matrix, and both
-    certificates carry the last reading.
+    The disks are read once per pivot state, and both certificates carry
+    the last reading. They also carry the snapshots: the stage after each
+    pivot and after the final fold, kept as forms and assembled only when
+    trace_matrices is read.
     """
     state = PivotState(form)
     for H, S in schedule or ():

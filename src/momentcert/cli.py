@@ -29,7 +29,8 @@ decomposes the instance family's own closed-form solution at --level.
 certify --gershgorin-only reads the disks once and stops, for a raw
 matrix (--matrix) and for an almost-diagonal form (--adf, assembled
 first) alike: PSD when every disk passes, Inconclusive (exit 1)
-otherwise. It never pivots and never calls the oracle.
+otherwise. It never pivots and never calls the oracle, so it refuses a
+--schedule (exit 3), as a raw matrix does.
 """
 
 from __future__ import annotations
@@ -185,6 +186,8 @@ def _certificate_exit(cert: PsdCertificate) -> int:
 
 def cmd_certify(args: argparse.Namespace) -> int:
     started = time.monotonic()
+    if args.schedule is not None and (args.gershgorin_only or args.adf is None):
+        raise CertifyError("a pivot schedule needs --adf input and no --gershgorin-only")
     if args.adf is not None:
         form = _load(args.adf, AlmostDiagonalForm.from_json_dict)
         rows = None
@@ -204,8 +207,6 @@ def cmd_certify(args: argparse.Namespace) -> int:
         if args.schedule is not None:
             schedule = _load(args.schedule, lambda data: _parse_schedule(data, form.n))
         cert = certify_recipe(form, schedule=schedule)
-    elif args.schedule is not None:
-        raise CertifyError("pivot schedules apply to almost-diagonal input only")
     else:
         cert = certify_matrix(rows)
 
@@ -319,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     cert.add_argument(
         "--trace",
         action="store_true",
-        help="embed every intermediate working matrix in the certificate",
+        help="embed every intermediate pivot stage in the certificate",
     )
     cert.add_argument("--out", required=True, help="output certificate JSON path")
 
@@ -350,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     for sp in (knap, mkp, sched):
         sp.add_argument("--out", required=True, help="output report JSON path")
         sp.add_argument(
-            "--trace", action="store_true", help="embed working matrices"
+            "--trace", action="store_true", help="embed pivot stages"
         )
 
     rep = sub.add_parser(

@@ -334,7 +334,7 @@ def trace_bound_check(n: int, P: RationalLike, y: LatticeVector) -> TraceBoundRe
     state = PivotState(form)
     pivot_reduce(state, ground, SubsetIndex(0, n))
     # The trace is the sum of the disk centers: the pivot keeps
-    # sigma (e_s + m)(e_s + m)^T as a folded term, so working's diagonal
+    # sigma (e_s + m)(e_s + m)^T as a folded term, so the state's diagonal
     # alone would miss sigma * |e_s + m|^2.
     trace = sum(gershgorin(state).centers, Fraction(0))
 

@@ -11,7 +11,7 @@ result are read off.
 Every intermediate matrix is affine in eps, so the goldens below store
 (constant, eps-coefficient) integer pairs and evaluate exactly at any
 rational eps. REDUCTION_STAGES is the machine-checked truth; the
-congruence invariant (working matrix plus unfolded terms stays
+congruence invariant (each pivot stage plus the unfolded terms stays
 congruent to the input) was asserted at every stage when the table was
 frozen. TRANSCRIBED_STAGES is the hand calculation that circulates
 with the worked example: it disagrees with the exact reduction in the
@@ -176,11 +176,8 @@ class ReplayResult:
     eps: Fraction
     form: AlmostDiagonalForm
     certificate: PsdCertificate
+    stages: list[Matrix]
     mismatches: list[dict]
-
-    @property
-    def stages(self) -> list[Matrix]:
-        return self.certificate.trace_matrices
 
     @property
     def final_disks(self) -> GershgorinReport:
@@ -217,9 +214,10 @@ def replay_demand_reduction(eps: RationalLike) -> ReplayResult:
     instance = canonical_instance(e)
     form = normalized_demand_form(instance)
     cert = certify_recipe(form, schedule=canonical_schedule())
+    stages = cert.trace_matrices
     golden = stage_matrices(e)
     mismatches = []
-    for si, (got, want) in enumerate(zip(cert.trace_matrices, golden), start=1):
+    for si, (got, want) in enumerate(zip(stages, golden), start=1):
         for i in range(7):
             for j in range(7):
                 if got[i][j] != want[i][j]:
@@ -232,4 +230,4 @@ def replay_demand_reduction(eps: RationalLike) -> ReplayResult:
                             "expected": rat_str(want[i][j]),
                         }
                     )
-    return ReplayResult(eps=e, form=form, certificate=cert, mismatches=mismatches)
+    return ReplayResult(eps=e, form=form, certificate=cert, stages=stages, mismatches=mismatches)

@@ -7,6 +7,7 @@ else must pass. Each check prints `criterion N: PASS/FAIL` so a full run
 reads as a scorecard.
 """
 
+import math
 import random
 import time
 from fractions import Fraction as F
@@ -129,6 +130,7 @@ def test_criterion_1_full_level_diagonalization(capsys):
 
 
 def _superset_moebius_dense(values, n):
+    """Superset Moebius transform over the full lattice, on integer numerators."""
     out = list(values)
     for b in range(n):
         bit = 1 << b
@@ -144,28 +146,33 @@ def _conjugate_by_head_inverse(w, t):
     The head inclusion block acts as a superset-zeta over P_t, so its
     inverse acts as a superset-Moebius; applying the Moebius transform to
     each column and then each row (entries embedded into the full lattice,
-    zero above the level) multiplies by the inverse on both sides.
+    zero above the level) multiplies by the inverse on both sides. Both
+    passes are linear with integer coefficients, so they run on the
+    integer numerators of w over one common denominator L, and each entry
+    becomes a Fraction over L at the end.
     """
     n = w.n
     index = enumerate_subsets(n, t)
     size = len(index)
-    zero = F(0)
-    inter = [[zero] * size for _ in range(size)]
+    moments = w.to_dense()
+    L = math.lcm(*(v.denominator for v in moments))
+    num = [v.numerator * (L // v.denominator) for v in moments]
+    inter = [[0] * size for _ in range(size)]
     for jpos, J in enumerate(index):
-        dense = [zero] * (1 << n)
+        dense = [0] * (1 << n)
         for K in index:
-            dense[K.bits] = w.get(K.bits | J.bits)
+            dense[K.bits] = num[K.bits | J.bits]
         red = _superset_moebius_dense(dense, n)
         for ipos, I in enumerate(index):
             inter[ipos][jpos] = red[I.bits]
-    out = [[zero] * size for _ in range(size)]
+    out = [[F(0)] * size for _ in range(size)]
     for ipos in range(size):
-        dense = [zero] * (1 << n)
+        dense = [0] * (1 << n)
         for jpos, J in enumerate(index):
             dense[J.bits] = inter[ipos][jpos]
         red = _superset_moebius_dense(dense, n)
         for jpos, J in enumerate(index):
-            out[ipos][jpos] = red[J.bits]
+            out[ipos][jpos] = F(red[J.bits], L)
     return index, out
 
 

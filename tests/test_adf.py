@@ -25,7 +25,7 @@ from momentcert import (
     quadratic_form,
     to_pseudo_probabilities,
 )
-from momentcert.adf import add_rank_one
+from rank_one_ref import dense
 
 
 def random_moments(n, rng):
@@ -170,13 +170,7 @@ def test_head_and_tail_blocks_rebuild_the_moment_matrix(n, t):
 
 def fraction_assemble(form):
     """Reference for assemble: Diag plus each term added in Fractions."""
-    size = form.size()
-    rows = [[F(0)] * size for _ in range(size)]
-    for k, val in enumerate(form.diag):
-        rows[k][k] = val
-    for term in form.terms:
-        add_rank_one(rows, term.coefficient, term.g_vec)
-    return rows
+    return dense(form.diag, form.terms)
 
 
 rationals = st.builds(F, st.integers(-40, 40), st.integers(1, 12))

@@ -30,8 +30,8 @@ from momentcert import (
     quadratic_form,
 )
 
-from momentcert.adf import add_rank_one
 from psd_minors import principal_minors_psd
+from rank_one_ref import add_rank_one, dense
 
 # z^N = (1, -1/3, 1, 2) over the two-element lattice: diagonal part
 # (1, -1/3, 1) plus the single rank-one term 2 * G({1,2}) G({1,2})^T.
@@ -53,20 +53,13 @@ def frac_matrix(rows):
     return [[F(v) for v in row] for row in rows]
 
 
-def stage(state):
-    """working + folded terms of a pivot state: what a snapshot records and the disks read."""
-    rows = [row[:] for row in state.working]
-    for term in state.folded:
-        add_rank_one(rows, term.coefficient, term.g_vec)
-    return rows
+def stage(state, remaining=False):
+    """Diagonal + folded terms of a pivot state, densified by the Fraction reference.
 
-
-def materialized(state):
-    """The stage plus the remaining terms, congruent to the input form."""
-    rows = stage(state)
-    for term in state.terms:
-        add_rank_one(rows, term.coefficient, term.g_vec)
-    return rows
+    That is what a snapshot records and the disks read; with remaining, the
+    unfolded terms are added too, giving a matrix congruent to the input form.
+    """
+    return dense(state.diag, state.folded + (state.terms if remaining else []))
 
 
 def random_form(n, t, rng):
@@ -112,7 +105,7 @@ def test_single_pivot_on_the_strategy_form():
     state = PivotState(STRATEGY)
     pivot_reduce(state, SubsetIndex(0b11, 2), SubsetIndex(0b01, 2))
     assert state.terms == []
-    assert materialized(state) == frac_matrix(
+    assert stage(state, remaining=True) == frac_matrix(
         [
             ["2/3", "-1/3", "1/3"],
             ["-1/3", "5/3", "1/3"],
@@ -147,7 +140,7 @@ def test_pivots_are_congruences():
     for trial in range(8):
         form = random_form(3, 1, rng)
         state = PivotState(form)
-        before = materialized(state)
+        before = stage(state, remaining=True)
         candidates = [
             (term.J, state.index[i])
             for term in state.terms
@@ -178,19 +171,19 @@ def test_pivots_are_congruences():
             ]
             for i in range(size)
         ]
-        assert materialized(state) == expected
+        assert stage(state, remaining=True) == expected
 
 
 def test_fold_negative_terms_only_folds_negatives():
     form = random_form(3, 1, random.Random(9))
     state = PivotState(form)
     negatives = [t.J.bits for t in state.terms if t.coefficient < 0]
-    assembled_before = materialized(state)
+    assembled_before = stage(state, remaining=True)
     state.fold_negative_terms()
     assert all(t.coefficient > 0 for t in state.terms)
     assert {t.J.bits for t in state.terms}.isdisjoint(negatives)
     # folding moves mass between the two summands without changing the total
-    assert materialized(state) == assembled_before
+    assert stage(state, remaining=True) == assembled_before
 
 
 @st.composite
@@ -264,12 +257,10 @@ def test_rank_one_pivots_match_the_dense_congruence(form, fold_first, pivots, da
         stages.append(expected)
     if not fold_first:
         fold()
-    # the certificate assembles the snapshots once, on first use
+    # the certificate assembles the snapshot forms when the trace is read
     cert = PsdCertificate("PSD", "gershgorin-recipe", snapshots=state.snapshots)
     first = cert.trace_matrices
     assert first == stages
-    assert all(again is mat for again, mat in zip(cert.trace_matrices, first))
-    assert all(not folded for _, folded in cert.snapshots)
 
 
 # ---------------------------------------------------------------------------

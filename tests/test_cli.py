@@ -250,13 +250,20 @@ def test_certify_rejects_unreadable_schedules(tmp_path, capsys):
 
 
 def test_certify_rejects_schedule_on_raw_matrix(tmp_path, capsys):
-    src = write(tmp_path / "m.json", STRATEGY_MATRIX)
+    # A schedule applies only where the recipe pivots: an almost-diagonal
+    # input without --gershgorin-only. Elsewhere it is refused, not ignored.
+    matrix = write(tmp_path / "m.json", STRATEGY_MATRIX)
+    form = write(tmp_path / "form.json", strategy_adf_payload())
     sched = write(tmp_path / "sched.json", [{"H": "{1,2}", "S": "{1}"}])
     out = tmp_path / "cert.json"
-    code = main(
-        ["certify", "--matrix", src, "--schedule", sched, "--out", str(out)]
-    )
-    assert code == 3
+    for args in (
+        ["--matrix", matrix],
+        ["--matrix", matrix, "--gershgorin-only"],
+        ["--adf", form, "--gershgorin-only"],
+    ):
+        code = main(["certify", *args, "--schedule", sched, "--out", str(out)])
+        assert code == 3, args
+    assert not out.exists()
 
 
 def test_certify_rejects_garbage_json(tmp_path, capsys):

@@ -116,24 +116,30 @@ def test_knapsack_covering_is_decided_on_its_schur_complement(monkeypatch):
 
 
 def test_knapsack_covering_pivot_stays_rank_one(monkeypatch):
-    # Folding the top term into {} must leave working diagonal and keep what
-    # the pivot creates as one folded term over all 63 rows, so the pivot and
-    # its disks stay O(size) instead of filling the dense 63 x 63 matrix.
+    # Folding the top term into {} must keep what the pivot creates as one
+    # folded term over all 4095 rows of the level-11 covering form over 12
+    # items, so its disks are read in closed form: the only dense matrix
+    # built is decide_form's 1 x 1 Schur complement, never a 4095-row one.
     pivot = momentcert.certify.pivot_reduce
-    seen = []
+    build = momentcert.certify.assemble
+    folded, sizes = [], []
 
-    def spy(state, H, S):
+    def spy_pivot(state, H, S):
         pivot(state, H, S)
-        seen.append((
-            all(not v for i, row in enumerate(state.working) for j, v in enumerate(row) if i != j),
-            [sum(1 for v in term.g_vec if v) for term in state.folded],
-        ))
+        folded.append([sum(1 for v in term.g_vec if v) for term in state.folded])
         return state
 
-    monkeypatch.setattr(momentcert.certify, "pivot_reduce", spy)
-    report = verify_knapsack_level(6, 2**13)
+    def spy_assemble(form):
+        sizes.append(form.size())
+        return build(form)
+
+    monkeypatch.setattr(momentcert.certify, "pivot_reduce", spy_pivot)
+    monkeypatch.setattr(momentcert.certify, "assemble", spy_assemble)
+    report = verify_knapsack_level(12, 2**25)
+    assert report.feasible
     assert report.certificate("covering").recipe_conclusive
-    assert seen == [(True, [63])]
+    assert folded == [[4095]]
+    assert sizes and all(size == 1 for size in sizes)
 
 
 def test_verify_knapsack_radius_formula_across_sizes():
