@@ -21,9 +21,11 @@ closed form while no row is touched by two of them, and from assemble
 otherwise; assemble is the one place rank-one terms are summed densely.
 
 When no pivot sequence settles the question, is_psd_exact decides it by
-exact symmetric elimination over the rationals on one triangle: a bare PSD
-verdict when every pivot stays nonnegative, and otherwise an explicit
-rational witness v with v^T A v < 0, rebuilt from the recorded multipliers.
+exact symmetric elimination on integer rows, each over its own
+denominator and divided by its content after every pivot that touches
+it: a bare PSD verdict when every pivot stays nonnegative, and otherwise
+an explicit rational witness v with v^T A v < 0, rebuilt from the
+recorded multipliers.
 is_psd_exact is the decider for raw matrices. Forms go through
 decide_form, which, when every coefficient is positive and the
 nonpositive diagonal rows plus the terms are fewer than the rows, first
@@ -35,6 +37,7 @@ same elimination decide it, and a NotPSD witness is lifted back.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence, Union
@@ -321,57 +324,74 @@ class PsdCertificate:
 
 
 def is_psd_exact(rows: Sequence[Sequence[Fraction]]) -> PsdCertificate:
-    """Exact PSD decision by symmetric elimination over the rationals.
+    """Exact PSD decision by symmetric elimination on integer rows.
 
-    Pivots on the largest positive diagonal entry and updates one triangle
-    (W[i][j] with i <= j) over the nonzero entries of the pivot row only. A
-    negative diagonal at any point yields the witness e_r, and an all-zero
-    diagonal with a nonzero off-diagonal entry yields e_i -+ e_j with the
-    sign chosen against the offending entry. Each step records its row
-    multipliers, and only a NotPSD verdict rebuilds the witness from them,
-    in the original coordinates.
+    Row i of the Schur complement is kept as integers B_i over a positive
+    denominator q_i, S_ij = B_ij / q_i, starting from the lcm of the row's
+    denominators. A negative diagonal at any point yields the witness e_r.
+    Otherwise the pivot p is the first largest S_ii, compared by
+    cross-multiplying, and with d = B_pp each row i with S_pi nonzero
+    becomes d B_i - B_ip B_p over q_i d, divided by the gcd of that
+    denominator and the row; the pivot column of every remaining row is
+    then zero, and rows off the pivot's support are never read. An
+    all-zero diagonal with a nonzero off-diagonal entry yields e_i -+ e_j
+    with the sign chosen against the offending entry. Each step records
+    its row multipliers -S_ip / S_pp = -B_pi / d as integers, and only a
+    NotPSD verdict rebuilds the witness from them, in the original
+    coordinates.
     """
-    W = _check_symmetric(rows)
-    active = list(range(len(W)))
-    steps: list[tuple[int, list[tuple[int, Fraction]]]] = []
+    B: list[list[int]] = []
+    q: list[int] = []
+    for row in _check_symmetric(rows):
+        ratios = [v.as_integer_ratio() for v in row]
+        den = math.lcm(*(e for _, e in ratios))
+        B.append([a * (den // e) for a, e in ratios])
+        q.append(den)
+    active = list(range(len(B)))
+    steps: list[tuple[int, int, list[tuple[int, int]]]] = []
     while active:
-        neg = next((i for i in active if W[i][i] < 0), None)
-        if neg is not None:
-            return _not_psd(steps, len(W), {neg: 1})
-        piv = max(active, key=lambda i: W[i][i])
-        d = W[piv][piv]
+        piv = active[0]
+        for i in active:
+            b = B[i][i]
+            if b < 0:
+                return _not_psd(steps, len(B), {i: 1})
+            if b * q[piv] > B[piv][piv] * q[i]:
+                piv = i
+        Bp = B[piv]
+        d = Bp[piv]
         if d == 0:
             # Every remaining diagonal is zero; PSD forces the block to vanish.
             for k, i in enumerate(active):
-                j = next((j for j in active[k + 1:] if W[i][j]), None)
+                j = next((j for j in active[k + 1:] if B[i][j]), None)
                 if j is not None:
-                    return _not_psd(steps, len(W), {i: 1, j: -1 if W[i][j] > 0 else 1})
+                    return _not_psd(steps, len(B), {i: 1, j: -1 if B[i][j] > 0 else 1})
             break
         active.remove(piv)
-        col = [(i, W[i][piv] if i < piv else W[piv][i]) for i in active]
-        col = [(i, c) for i, c in col if c]
-        mults = [(i, -c / d) for i, c in col]
-        for k, (i, m) in enumerate(mults):
-            Wi = W[i]
-            for j, c in col[k:]:
-                Wi[j] += m * c
-        steps.append((piv, mults))
+        col = [(i, Bp[i]) for i in active if Bp[i]]
+        for i, _ in col:
+            b = B[i][piv]
+            Bi = [d * x - b * y for x, y in zip(B[i], Bp)]
+            g = math.gcd(q[i] * d, *Bi)
+            B[i] = [x // g for x in Bi]
+            q[i] = q[i] * d // g
+        steps.append((piv, d, col))
     return PsdCertificate(verdict="PSD", method="exact-factorization")
 
 
 def _not_psd(
-    steps: list[tuple[int, list[tuple[int, Fraction]]]], size: int, reduced: dict[int, int]
+    steps: list[tuple[int, int, list[tuple[int, int]]]], size: int, reduced: dict[int, int]
 ) -> PsdCertificate:
     """NotPSD with the witness u^T E_k...E_1, where u (e_r or e_i -+ e_j) is given by reduced.
 
-    Step s is E_s = I + sum_i m_i e_i e_piv^T (row i += m_i row piv), so
-    multiplying u^T on the right by the steps last-first adds sum_i m_i u_i
-    to u_piv; the result is the same combination of the rows of E, and
+    Step s is E_s = I + sum_i m_i e_i e_piv^T (row i += m_i row piv) with
+    m_i = -c_i / d for the recorded (piv, d, [(i, c_i)]), so multiplying
+    u^T on the right by the steps last-first subtracts sum_i c_i u_i / d
+    from u_piv; the result is the same combination of the rows of E, and
     u^T (E A E^T) u < 0 is the value the reduced matrix showed.
     """
     u = [Fraction(reduced.get(i, 0)) for i in range(size)]
-    for piv, mults in reversed(steps):
-        u[piv] += sum(m * u[i] for i, m in mults if u[i])
+    for piv, d, col in reversed(steps):
+        u[piv] -= sum((c * u[i] for i, c in col if u[i]), Fraction(0)) / d
     return PsdCertificate(verdict="NotPSD", method="exact-factorization", witness=u)
 
 

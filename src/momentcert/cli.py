@@ -90,8 +90,7 @@ class InputError(Exception):
 
 def _write_json(path: str, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, ensure_ascii=False, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2) + "\n")
 
 
 def _run_report(

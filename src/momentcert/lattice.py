@@ -65,13 +65,15 @@ def rat(value: RationalLike) -> Fraction:
 
     Floats are rejected: a binary float that leaked into a certificate
     would defeat the exactness guarantee, so the caller must convert
-    explicitly if that is really intended. Strings take the text form
-    only: exponents, decimal points, underscores and non-ASCII digits
-    are refused, so no short string can stand for a huge integer.
+    explicitly if that is really intended. Booleans are refused too,
+    although bool subclasses int, so a JSON true is never read as 1.
+    Strings take the text form only: exponents, decimal points,
+    underscores and non-ASCII digits are refused, so no short string can
+    stand for a huge integer.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         match = _RATIONAL.fullmatch(value.strip())

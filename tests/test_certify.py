@@ -30,6 +30,7 @@ from momentcert import (
     quadratic_form,
 )
 
+import oracle_ref
 from psd_minors import principal_minors_psd
 from rank_one_ref import add_rank_one, dense
 
@@ -385,6 +386,68 @@ def test_oracle_agrees_with_minors_on_sparse_matrices(rows):
     assert (cert.verdict == "PSD") == principal_minors_psd(rows)
     if cert.verdict == "NotPSD":
         assert quad_eval(rows, cert.witness) < 0
+
+
+ORACLE_ENTRIES = st.sampled_from([0, 0, 1, -1, 2, F(1, 2), F(-2, 3), F(5, 6), F(7, 4)])
+
+
+@st.composite
+def oracle_inputs(draw):
+    """Symmetric rational matrices for comparing the oracle with its Fraction reference.
+
+    A Gram matrix of fewer vectors than rows (singular PSD) is masked to a
+    dense, diagonal, tridiagonal or block-diagonal shape. Symmetric bumps
+    then often leave every diagonal positive and make a negative one appear
+    only after some pivots; zero rows, and a zero-diagonal block joined by
+    one off-diagonal entry, are drawn too. Entries mix denominators, and
+    their few values make ties for the largest diagonal common.
+    """
+    size = draw(st.integers(0, 7))
+    if size == 0:
+        return []
+    vectors = draw(st.lists(st.lists(ORACLE_ENTRIES, min_size=size, max_size=size),
+                            max_size=max(size - 1, 1)))
+    block = draw(st.integers(1, 3))
+    keep = draw(st.sampled_from([
+        lambda i, j: True,
+        lambda i, j: i == j,
+        lambda i, j: abs(i - j) <= 1,
+        lambda i, j: i // block == j // block,
+    ]))
+    rows = [[sum((v[i] * v[j] for v in vectors), F(0)) if keep(i, j) else F(0)
+             for j in range(size)] for i in range(size)]
+    index = st.integers(0, size - 1)
+    for i, j, delta in draw(st.lists(st.tuples(index, index, ORACLE_ENTRIES), max_size=2)):
+        rows[i][j] += delta
+        if i != j:
+            rows[j][i] += delta
+    for i in draw(st.sets(index, max_size=2)):
+        for j in range(size):
+            rows[i][j] = rows[j][i] = F(0)
+    zeros = sorted(draw(st.sets(index, max_size=3)))
+    for i in zeros:
+        rows[i][i] = F(0)
+    if len(zeros) >= 2:
+        i, j = zeros[:2]
+        rows[i][j] = rows[j][i] = draw(ORACLE_ENTRIES.filter(bool))
+    return rows
+
+
+@settings(max_examples=400, deadline=None)
+@given(oracle_inputs())
+def test_oracle_matches_the_fraction_reference(rows):
+    cert, ref = is_psd_exact(rows), oracle_ref.is_psd_exact(rows)
+    assert (cert.verdict, cert.method) == (ref.verdict, ref.method)
+    assert cert.witness == ref.witness
+    if cert.witness is not None:
+        assert quad_eval(rows, cert.witness) < 0
+
+
+def test_oracle_error_messages():
+    with pytest.raises(CertifyError, match=r"^matrix is not square$"):
+        is_psd_exact([[F(1), F(0)], [F(0)]])
+    with pytest.raises(CertifyError, match=r"^matrix is not symmetric at \(2,1\)$"):
+        is_psd_exact(frac_matrix([[1, 0, 0], [0, 1, 2], [0, 3, 1]]))
 
 
 @st.composite

@@ -145,6 +145,8 @@ def test_decompose_rejects_malformed_values(tmp_path, capsys):
         ("--instance", {"family": "mkp", "params": dict(MKP_PARAMS, blocks=3.7)}),
         # an exponent stands for a huge integer; only p/q is accepted
         ("--input", {"n": 2, "values": {"{}": "1e5000"}}),
+        # a JSON boolean is not a rational, although bool subclasses int
+        ("--input", {"n": 2, "values": {"{}": True}}),
     ]
     # integer fields take JSON integers only: no truncation, no coercion
     for n in (2.9, True, "2"):
@@ -202,6 +204,14 @@ def test_certify_identity_matrix_passes_by_disks(tmp_path, capsys):
     out = tmp_path / "cert.json"
     assert main(["certify", "--matrix", src, "--out", str(out)]) == 0
     assert read(out)["verdict"] == "PSD"
+
+
+def test_certify_refuses_boolean_matrix_entries(tmp_path, capsys):
+    # bool subclasses int, but a JSON true is not the rational 1.
+    src = write(tmp_path / "m.json", {"rows": [[True, False], [False, True]]})
+    out = tmp_path / "cert.json"
+    assert main(["certify", "--matrix", src, "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_certify_indefinite_matrix_exits_negative(tmp_path, capsys):

@@ -36,7 +36,7 @@ def test_rat_accepts_int_str_fraction():
 
 
 @pytest.mark.parametrize(
-    "bad", [1.5, "1/0", "abc", None, [1], "1e5000", "0.5", "1_0"]
+    "bad", [1.5, "1/0", "abc", None, [1], "1e5000", "0.5", "1_0", True, False]
 )
 def test_rat_rejects_nonrationals(bad):
     with pytest.raises(LatticeError):

@@ -10,7 +10,10 @@ perfbench's adf workload) with one singleton moment made negative, which
 is NotPSD. Each oracle line gives the input, its dimension (size), the
 bit length of its largest numerator or denominator, the verdict and the
 median of 3 timed runs (1 run at n = 7). Matrices are built before the
-clock starts.
+clock starts. Two sparse oracle lines follow, a 300-row tridiagonal and a
+300-row diagonal matrix with seeded rational entries over mixed
+denominators; the tridiagonal's diagonal exceeds its row's off-diagonal
+sum, so both are PSD.
 
 Each knapsack covering form also gets a decide_form line, which times the
 whole decision from the form (the Schur complement, its assembly and the
@@ -78,6 +81,8 @@ import workloads  # noqa: E402
 
 ADF_N = 8
 ADF_SEED = 5
+SPARSE_SIZE = 300
+SPARSE_SEED = 7
 
 
 def knapsack_covering(n: int) -> AlmostDiagonalForm:
@@ -92,6 +97,18 @@ def perturbed_adf(n: int) -> AlmostDiagonalForm:
     numer[1 << rng.randrange(n)] = -rng.randint(1, 9)
     w = LatticeVector(n, MOMENTS, {m: Fraction(v, total) for m, v in enumerate(numer)})
     return from_pseudo(to_pseudo_probabilities(w), workloads.ADF_LEVEL)
+
+
+def sparse_psd(size: int, bandwidth: int) -> list[list[Fraction]]:
+    """A seeded symmetric matrix with the given bandwidth, strictly diagonally dominant."""
+    rng = random.Random(SPARSE_SEED)
+    rows = [[Fraction(0)] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i + 1, min(i + bandwidth + 1, size)):
+            rows[i][j] = rows[j][i] = Fraction(rng.randint(-99, 99), rng.randint(1, 9))
+    for i, r in enumerate(rows):
+        r[i] = sum(map(abs, r), Fraction(rng.randint(1, 99), rng.randint(1, 9)))
+    return rows
 
 
 def max_bits(rows: list[list[Fraction]]) -> int:
@@ -169,6 +186,8 @@ def main() -> int:
         print(recipe_row(f"recipe covering n={n}", form, rows), flush=True)
     print(oracle_row(f"adf-perturbed n={ADF_N} t={workloads.ADF_LEVEL}",
                      assemble(perturbed_adf(ADF_N)), 3), flush=True)
+    print(oracle_row(f"tridiagonal {SPARSE_SIZE}", sparse_psd(SPARSE_SIZE, 1), 3), flush=True)
+    print(oracle_row(f"diagonal {SPARSE_SIZE}", sparse_psd(SPARSE_SIZE, 0), 3), flush=True)
     for n in (8, 9):
         print(assemble_row(n), flush=True)
     for P in (13, 14):
