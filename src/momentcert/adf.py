@@ -16,10 +16,13 @@ Terms whose coefficient p_J is zero contribute nothing and are dropped.
 
 The form is fixed by p and t, so from_pseudo is the one builder: decompose
 and the JSON reader both go through it, and it enumerates P_t once per
-form and hands that index to g_vector for every term. The other forms
-are built in certify, which only assembles and reads them: decide_form's
-Schur complement of a form onto its nonpositive diagonal rows, and the
-stages of a pivot state, the diagonal plus the folded terms.
+form and hands that index to g_vector for every term. The JSON payload is
+that (p, t) alone, p split at t into the diagonal and the term
+coefficients; no G(J) is written, and the reader rebuilds each one. The
+other forms are built in certify, which only assembles and reads them and
+never writes them: decide_form's Schur complement of a form onto its
+nonpositive diagonal rows, and the stages of a pivot state, the diagonal
+plus the folded terms.
 
 assemble densifies a form for the exact oracle. It sums the rank-one
 terms as Python ints over one common denominator: each term's vector is
@@ -112,21 +115,18 @@ class AlmostDiagonalForm:
         return len(self.index)
 
     def to_json_dict(self) -> dict:
-        labels = [str(s) for s in self.index]
+        """The (p, t) of the form: p on P_t as diag, p_J above t as terms.
+
+        A form from_pseudo builds is fixed by these, so G(J) is not
+        written: from_json_dict rebuilds it. The forms certify makes
+        (decide_form's Schur complements, pivot stages) are never written.
+        """
         return {
             "n": self.n,
             "t": self.t,
-            "diag": {label: rat_str(v) for label, v in zip(labels, self.diag)},
+            "diag": {str(s): rat_str(v) for s, v in zip(self.index, self.diag)},
             "terms": [
-                {
-                    "J": str(term.J),
-                    "coeff": rat_str(term.coefficient),
-                    "support": [
-                        [labels[k], rat_str(v)]
-                        for k, v in enumerate(term.g_vec)
-                        if v
-                    ],
-                }
+                {"J": str(term.J), "coeff": rat_str(term.coefficient)}
                 for term in self.terms
             ],
         }
@@ -137,10 +137,10 @@ class AlmostDiagonalForm:
 
         The payload states a pseudo-probability vector: diag gives p on P_t
         and each term's coeff gives p_J above t. The form is from_pseudo of
-        that vector. It is accepted only if decompose could have written
-        it: every label is listed once, no coefficient is zero, and each
-        term's support equals the G(J) built here as a set of (subset,
-        value) pairs, in any order.
+        that vector, so each G(J) is rebuilt here and never read. It is
+        accepted only if decompose could have written it: every label is
+        listed once, no coefficient is zero, and a term has the keys J and
+        coeff and no other.
         """
         try:
             n = json_int(data["n"])
@@ -157,50 +157,21 @@ class AlmostDiagonalForm:
             if s.cardinality > t or s.bits in stated:
                 raise AdfError(f"diagonal label {key} is outside P_t or listed twice")
             stated[s.bits] = rat(value)
-        supports: dict[int, list[tuple[int, Fraction]]] = {}
-        # Support labels and values repeat across terms, so each distinct
-        # string is parsed, and checked, once per payload.
-        label_bits: dict[str, int] = {}
-        values: dict[str, Fraction] = {}
-
-        def bits_of(label) -> int:
-            return SubsetIndex.parse(label, n).bits
-
         for item in terms_raw:
             try:
                 J = SubsetIndex.parse(item["J"], n)
                 coeff = rat(item["coeff"])
-                support = sorted(
-                    (_parse_once(label_bits, bits_of, label), _parse_once(values, rat, value))
-                    for label, value in item["support"]
-                )
+                extra = sorted(set(item) - {"J", "coeff"})
             except (KeyError, TypeError, ValueError) as exc:
                 raise AdfError(f"malformed rank-one term: {exc}") from exc
+            if extra:
+                raise AdfError(f"rank-one term {J} has keys other than J and coeff: {extra}")
             if J.cardinality <= t:
                 raise AdfError(f"term set {J} needs more than t={t} elements")
             if not coeff or J.bits in stated:
                 raise AdfError(f"term {J} has coefficient zero or is listed twice")
             stated[J.bits] = coeff
-            supports[J.bits] = support
-        form = from_pseudo(LatticeVector(n, PSEUDO_PROBABILITIES, stated), t)
-        for term in form.terms:
-            built = [(form.index[k].bits, v) for k, v in enumerate(term.g_vec) if v]
-            if supports[term.J.bits] != sorted(built):
-                raise AdfError(f"support of term {term.J} does not match G(J)")
-        return form
-
-
-def _parse_once(cache: dict, parse, text):
-    """parse(text), kept in cache when text is a string and reused from there.
-
-    Only strings are kept: a float or a bool equals an int key, and must
-    still reach parse to be refused or converted as before.
-    """
-    if type(text) is not str:
-        return parse(text)
-    if text not in cache:
-        cache[text] = parse(text)
-    return cache[text]
+        return from_pseudo(LatticeVector(n, PSEUDO_PROBABILITIES, stated), t)
 
 
 def from_pseudo(p: LatticeVector, t: int) -> AlmostDiagonalForm:

@@ -153,7 +153,12 @@ class KnapsackGapInstance:
         return {"n": self.n, "P": rat_str(self.P)}
 
     def solution(self, t: int) -> LatticeVector:
-        """The closed-form solution; it is the same at every level t."""
+        """The closed-form solution; it is the same at every level t.
+
+        It has 2^n entries and is certified at level n, so P_n's size is
+        refused before it is built, for gap knapsack and decompose alike.
+        """
+        check_subset_count(self.n, self.n)
         return knapsack_solution(self.n, self.P)
 
     @property
@@ -258,9 +263,8 @@ def verify_knapsack_level(n: int, P: RationalLike) -> GapReport:
     if n < 2:
         raise GapError(f"level verification needs n >= 2, got {n}")
     instance = build_knapsack(n, P)
-    # decompose(y, n) below enumerates P_n: refuse its size before the
-    # solution and the transform build their 2^n lists.
-    check_subset_count(n, n)
+    # solution() refuses P_n, which decompose(y, n) below enumerates,
+    # before the solution and the transform build their 2^n lists.
     p = instance.solution(n - 1)
     y = from_pseudo_probabilities(p)
     g = knapsack_constraint(n, instance.P)

@@ -58,6 +58,7 @@ RationalLike = Union[int, str, Fraction]
 
 # An optional sign, ASCII digits, and an optional "/" with ASCII digits.
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+_ELEMENT = re.compile(r"[0-9]+")
 
 
 def rat(value: RationalLike) -> Fraction:
@@ -157,6 +158,8 @@ class SubsetIndex:
         if inner:
             for part in inner.split(","):
                 try:
+                    if _ELEMENT.fullmatch(part.strip()) is None:
+                        raise ValueError(part)
                     i = int(part)
                 except ValueError as exc:
                     raise LatticeError(f"not a subset: {text!r}") from exc

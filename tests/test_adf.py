@@ -12,6 +12,7 @@ from momentcert import (
     PSEUDO_PROBABILITIES,
     AdfError,
     AlmostDiagonalForm,
+    LatticeError,
     LatticeVector,
     RankOneTerm,
     SubsetIndex,
@@ -256,40 +257,43 @@ def test_adf_json_rejects_terms_decompose_cannot_write():
     p = LatticeVector(3, PSEUDO_PROBABILITIES, {0b000: 1, 0b011: "1/2"})
     good = from_pseudo(p, 1).to_json_dict()
     (term,) = good["terms"]
-    assert term["support"] == [["{}", "-1"], ["{1}", "1"], ["{2}", "1"]]
-    bad_supports = [
-        [["{}", "-2"], ["{1}", "1"], ["{2}", "1"]],  # wrong value
-        [["{1}", "1"], ["{2}", "1"]],  # missing entry
-        [["{}", "-1"], ["{1}", "1"], ["{1}", "1"]],  # repeated entry
-        [["{}", "-1"], ["{1}", "1"], ["{2}", "1"], ["{3}", "1"]],  # outside J
+    assert term == {"J": "{1,2}", "coeff": "1/2"}
+    # G(J) is rebuilt, never read: any key beside J and coeff is refused,
+    # the support lists of the earlier format included
+    bad_terms = [
+        dict(term, support=[["{}", "-1"], ["{1}", "1"], ["{2}", "1"]]),
+        dict(term, support=[]),
+        dict(term, note="x"),
     ]
-    bad_terms = [dict(term, support=support) for support in bad_supports]
     # |J| <= t: such a term would collide with the diagonal part
-    low = {"J": "{1}", "coeff": "1", "support": [["{}", "-1"], ["{1}", "1"]]}
-    bad_terms.append(low)
+    bad_terms.append({"J": "{1}", "coeff": "1"})
     for bad in bad_terms:
         with pytest.raises(AdfError):
             AlmostDiagonalForm.from_json_dict(dict(good, terms=[bad]))
 
 
-
 def test_adf_json_repeated_bad_strings_fail_with_the_same_message():
     p = LatticeVector(3, PSEUDO_PROBABILITIES, {0b000: 1, 0b011: "1/2", 0b101: "1/3"})
     good = from_pseudo(p, 1).to_json_dict()
-    for bad, message in (
-        (["{1,x}", "1"], "malformed rank-one term: not a subset: '{1,x}'"),
-        (["{}", "1.5"], "malformed rank-one term: not a rational: '1.5'"),
-        (["{}", 1.0], "malformed rank-one term: not a rational: 1.0"),
+    for field, bad, message in (
+        ("J", "{1,x}", "malformed rank-one term: not a subset: '{1,x}'"),
+        ("coeff", "1.5", "malformed rank-one term: not a rational: '1.5'"),
+        ("coeff", 1.0, "malformed rank-one term: not a rational: 1.0"),
     ):
         # in the second term only, after the first has been read, and in both
         for first_too in (False, True):
             terms = [
-                dict(term, support=[bad] + term["support"]) if k or first_too else term
+                dict(term, **{field: bad}) if k or first_too else term
                 for k, term in enumerate(good["terms"])
             ]
             with pytest.raises(AdfError) as err:
                 AlmostDiagonalForm.from_json_dict(dict(good, terms=terms))
             assert str(err.value) == message
+    # a diagonal label is read before any term, outside the term parse
+    diag = dict(good["diag"], **{"{1,x}": "1"})
+    with pytest.raises(LatticeError) as err:
+        AlmostDiagonalForm.from_json_dict(dict(good, diag=diag))
+    assert str(err.value) == "not a subset: '{1,x}'"
 
 
 @st.composite
@@ -311,9 +315,6 @@ def test_adf_json_reads_back_the_form_and_refuses_each_mutation(pt, draws):
     assert [(u.J, u.coefficient, u.g_vec) for u in again.terms] == [
         (u.J, u.coefficient, u.g_vec) for u in form.terms
     ]
-    reversed_supports = [dict(u, support=u["support"][::-1]) for u in data["terms"]]
-    reordered = AlmostDiagonalForm.from_json_dict(dict(data, terms=reversed_supports))
-    assert reordered.terms == again.terms
     # the same diagonal label listed a second time as "{ 1}" next to "{1}"
     label = draws.draw(st.sampled_from(sorted(data["diag"])))
     respelled = {"{ " + label[1:]: data["diag"][label]}
@@ -321,15 +322,7 @@ def test_adf_json_reads_back_the_form_and_refuses_each_mutation(pt, draws):
     if data["terms"]:
         k = draws.draw(st.integers(0, len(data["terms"]) - 1))
         term = data["terms"][k]
-        support = term["support"]
-        e = draws.draw(st.integers(0, len(support) - 1))
-        changed = [support[e][0], str(F(support[e][1]) + 1)]
-        for bad in (
-            dict(term, support=support[:e] + [changed] + support[e + 1:]),
-            dict(term, support=support[:e] + support[e + 1:]),
-            dict(term, support=support + [support[e]]),
-            dict(term, coeff="0"),
-        ):
+        for bad in (dict(term, coeff="0"), dict(term, support=[])):
             terms = data["terms"][:k] + [bad] + data["terms"][k + 1:]
             mutants.append(dict(data, terms=terms))
         mutants.append(dict(data, terms=data["terms"] + [term]))

@@ -44,8 +44,8 @@ def read(path):
     return json.loads(path.read_text(encoding="utf-8"))
 
 
-def strategy_adf_payload():
-    form = from_pseudo(
+def strategy_form():
+    return from_pseudo(
         LatticeVector(
             2,
             PSEUDO_PROBABILITIES,
@@ -53,7 +53,10 @@ def strategy_adf_payload():
         ),
         1,
     )
-    return form.to_json_dict()
+
+
+def strategy_adf_payload():
+    return strategy_form().to_json_dict()
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +139,22 @@ def test_decompose_input_refuses_oversized_level_before_the_transform(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("n", [13, 24])
+def test_decompose_instance_refuses_oversized_knapsack_before_building(
+    n, tmp_path, capsys, monkeypatch
+):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the 2^n knapsack solution was built before the size preflight")
+
+    monkeypatch.setattr(momentcert.gaps, "knapsack_solution", unreachable)
+    payload = {"family": "knapsack", "params": {"n": n, "P": str(2 ** (2 * n + 1))}}
+    src = write(tmp_path / "inst.json", payload)
+    out = tmp_path / "adf.json"
+    assert main(["decompose", "--instance", src, "--level", "1", "--out", str(out)]) == 3
+    assert "above the limit of 4096" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_decompose_rejects_malformed_values(tmp_path, capsys):
     out = tmp_path / "adf.json"
     inputs = [
@@ -147,6 +166,8 @@ def test_decompose_rejects_malformed_values(tmp_path, capsys):
         ("--input", {"n": 2, "values": {"{}": "1e5000"}}),
         # a JSON boolean is not a rational, although bool subclasses int
         ("--input", {"n": 2, "values": {"{}": True}}),
+        # int() reads "{0_1}" as {1}; a subset element is ASCII digits only
+        ("--input", {"n": 2, "values": {"{}": "1", "{0_1}": "1/2"}}),
     ]
     # integer fields take JSON integers only: no truncation, no coercion
     for n in (2.9, True, "2"):
@@ -285,18 +306,34 @@ def test_certify_rejects_garbage_json(tmp_path, capsys):
 
 
 def test_certify_rejects_forms_decompose_cannot_write(tmp_path, capsys):
-    low_term = {"J": "{1}", "coeff": "2", "support": [["{}", "-1"], ["{1}", "1"]]}
-    bent_term = {
-        "J": "{1,2}",
-        "coeff": "2",
-        "support": [["{}", "-1"], ["{1}", "2"], ["{2}", "1"]],
-    }
+    low_term = {"J": "{1}", "coeff": "2"}
+    # G(J) is rebuilt, never read: a term states J and coeff and nothing else
+    extra_terms = [
+        {"J": "{1,2}", "coeff": "2", "support": [["{}", "-1"], ["{1}", "1"], ["{2}", "1"]]},
+        {"J": "{1,2}", "coeff": "2", "note": "x"},
+    ]
     out = tmp_path / "cert.json"
-    payloads = [dict(strategy_adf_payload(), terms=[term]) for term in (low_term, bent_term)]
+    payloads = [
+        dict(strategy_adf_payload(), terms=[term]) for term in [low_term, *extra_terms]
+    ]
     payloads.append(dict(strategy_adf_payload(), t=1.5))
     for payload in payloads:
         src = write(tmp_path / "form.json", payload)
         assert main(["certify", "--adf", src, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_certify_refuses_a_form_that_lists_each_support(tmp_path, capsys):
+    # the earlier format wrote each term's G(J) as a support list
+    form = strategy_form()
+    payload = form.to_json_dict()
+    for item, term in zip(payload["terms"], form.terms):
+        item["support"] = [
+            [str(s), str(v)] for s, v in zip(form.index, term.g_vec) if v
+        ]
+    src = write(tmp_path / "form.json", payload)
+    out = tmp_path / "cert.json"
+    assert main(["certify", "--adf", src, "--out", str(out)]) == 2
     assert not out.exists()
 
 

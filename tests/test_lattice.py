@@ -62,7 +62,9 @@ def test_subset_members_and_text_roundtrip():
     assert SubsetIndex.parse("{}", 3) == SubsetIndex(0, 3)
 
 
-@pytest.mark.parametrize("text", ["{0}", "{4}", "{1,1}", "1,2", "{x}", 5, None])
+@pytest.mark.parametrize(
+    "text", ["{0}", "{4}", "{1,1}", "1,2", "{x}", 5, None, "{0_1}", "{+1}", "{\u0661}"]
+)
 def test_subset_parse_rejects_garbage(text):
     with pytest.raises(LatticeError):
         SubsetIndex.parse(text, 3)

@@ -45,6 +45,15 @@ assembled matrix and the verdict column is "-"; each line ends with the
 form's term count and its rank-one updates, the sum of nnz(g)^2 over its
 terms (perfbench's adf.assemble.updates counter), and gives the median of
 3 runs.
+
+Two adf-json lines time the ADF codec on the same perturbed forms at
+n = 8 and n = 9, as the CLI runs it: encoding is cli._write_json of
+to_json_dict, as decompose writes its --out, and decoding is cli._load
+with from_json_dict, as certify --adf reads it, both on a file in a
+temporary directory. The size is the form's and the bits column is "-".
+The seconds column is the median encode time of 3 runs; the line ends with the median decode time and the file's bytes.
+The verdict column reads "exact" when the decoded form equals the
+encoded one.
 """
 
 from __future__ import annotations
@@ -53,6 +62,7 @@ import os
 import random
 import statistics
 import sys
+import tempfile
 import time
 from fractions import Fraction
 
@@ -61,6 +71,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 import momentcert.certify as certify  # noqa: E402
+from momentcert import cli  # noqa: E402
 from momentcert.adf import AlmostDiagonalForm, assemble, from_pseudo  # noqa: E402
 from momentcert.certify import certify_recipe, decide_form, is_psd_exact  # noqa: E402
 from momentcert.gaps import (  # noqa: E402
@@ -168,6 +179,26 @@ def assemble_row(n: int) -> str:
             + f"  terms={len(form.terms)} updates={updates}")
 
 
+def adf_json_row(n: int) -> str:
+    form = perturbed_adf(n)
+    encode, decode = [], []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "form.json")
+        for _ in range(3):
+            start = time.perf_counter()
+            cli._write_json(path, form.to_json_dict())
+            encode.append(time.perf_counter() - start)
+            start = time.perf_counter()
+            back = cli._load(path, AlmostDiagonalForm.from_json_dict)
+            decode.append(time.perf_counter() - start)
+        size = os.path.getsize(path)
+    same = (back.index, back.diag, [(u.J, u.coefficient, u.g_vec) for u in back.terms]) == (
+        form.index, form.diag, [(u.J, u.coefficient, u.g_vec) for u in form.terms])
+    return (f"{f'adf-json n={n}':<28} {form.size():>5} {'-':>5} "
+            f"{'exact' if same else 'DIFF':>7} {statistics.median(encode):>9.4f}"
+            f"  decode={statistics.median(decode):.4f} bytes={size}")
+
+
 def schedule_covering_row(P: int) -> str:
     instance = build_schedule(4, 2, P)
     zp = constraint_diagonal(instance.covering_constraint(4), schedule_solution(instance))
@@ -190,6 +221,8 @@ def main() -> int:
     print(oracle_row(f"diagonal {SPARSE_SIZE}", sparse_psd(SPARSE_SIZE, 0), 3), flush=True)
     for n in (8, 9):
         print(assemble_row(n), flush=True)
+    for n in (8, 9):
+        print(adf_json_row(n), flush=True)
     for P in (13, 14):
         print(schedule_covering_row(P), flush=True)
     print(transform_row(), flush=True)
