@@ -241,14 +241,10 @@ def cmd_gap(args: argparse.Namespace) -> int:
         ok = report.feasible
     else:
         k = rat(args.k)
-        if args.find_min_p:
-            pstar = find_min_feasible_P(args.n, k)
-            instance = build_schedule(args.n, k, pstar)
-        elif args.P is not None:
-            instance = build_schedule(args.n, k, rat(args.P))
-        else:
-            raise GapError("schedule needs either --P or --find-min-p")
-        report = verify_schedule(instance)
+        if args.find_min_p == (args.P is not None):
+            raise GapError("schedule needs exactly one of --P and --find-min-p")
+        P = find_min_feasible_P(args.n, k) if args.find_min_p else rat(args.P)
+        report = verify_schedule(build_schedule(args.n, k, P))
         ok = report.feasible and report.gap >= k
 
     _write_json(args.out, report.to_json_dict(include_trace=args.trace))

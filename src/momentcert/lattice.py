@@ -15,9 +15,9 @@ the alternating superset sum
 and the inverse is the plain superset sum w_I = sum over S containing I of
 p_S. Both share one exact integer kernel: the entries are written as
 integer numerators over the common denominator L of the stored values,
-one superset pass per bit (O(n * 2^n) additions) runs over a dense list
-of Python ints by slice assignment, and each nonzero result x is read
-back as the reduced rational x / L.
+one superset pass per bit runs over a mask->int map that holds only the
+down-closure D of the support (n * |D| additions, never a 2^n list), and
+each nonzero result x is read back as the reduced rational x / L.
 """
 
 from __future__ import annotations
@@ -331,30 +331,24 @@ def _superset_transform(
     operator.sub gives the alternating superset sum, operator.add the plain
     one. The entries are scaled to integer numerators over the common
     denominator L of the stored values, so the pass adds Python ints; each
-    result is read back as the reduced rational Fraction(x, L). Each bit
-    is a round of slice assignments: one strided slice per offset below
-    the bit while there are no more of those than blocks of length 2*bit,
-    else one contiguous half per block, so no bit takes more than 2^(n/2)
-    assignments.
+    result is read back as the reduced rational Fraction(x, L). Only the
+    down-closure of the support is stored (the trimmed transform of
+    Bjorklund, Husfeldt, Kaski and Koivisto, STACS 2008): round b visits
+    a snapshot of the stored masks that hold bit b and writes into the
+    mask without it, so after round b the keys are the masks below a
+    support mask that differ from it only in bits 0..b. Every other
+    entry of the dense pass is zero, and the cost is n times the size of
+    the down-closure.
     """
-    n = vec.n
-    size = 1 << n
     L = math.lcm(*(q.denominator for q in vec._entries.values()))
-    a = [0] * size
-    for mask, q in vec._entries.items():
-        a[mask] = q.numerator * (L // q.denominator)
-    for b in range(n):
+    a = {mask: q.numerator * (L // q.denominator) for mask, q in vec._entries.items()}
+    for b in range(vec.n):
         bit = 1 << b
-        step = bit << 1
-        if bit <= size // step:
-            for r in range(bit):
-                a[r::step] = map(op, a[r::step], a[r + bit :: step])
-        else:
-            for base in range(0, size, step):
-                mid = base + bit
-                a[base:mid] = map(op, a[base:mid], a[mid : base + step])
-    out = LatticeVector(n, kind)
-    out._entries = {mask: Fraction(x, L) for mask, x in enumerate(a) if x}
+        for mask in [m for m in a if m & bit]:
+            low = mask ^ bit
+            a[low] = op(a.get(low, 0), a[mask])
+    out = LatticeVector(vec.n, kind)
+    out._entries = {mask: Fraction(x, L) for mask, x in a.items() if x}
     return out
 
 
@@ -428,12 +422,19 @@ class ConstraintPolynomial:
 
     def value_at(self, index: Union[SubsetIndex, int]) -> Fraction:
         """g evaluated at the 0/1 point whose support is the given subset."""
-        imask = _mask_of(index, self.n)
-        total = Fraction(0)
-        for mask, val in self._coef.items():
-            if mask & ~imask == 0:
-                total += val
-        return total
+        L, (x,) = self.scaled_values([_mask_of(index, self.n)])
+        return Fraction(x, L)
+
+    def scaled_values(self, masks: Iterable[int]) -> tuple[int, list[int]]:
+        """The common denominator L of the coefficients, and L * g at each mask.
+
+        Each value is the subset sum of the integer numerators L * g_K over
+        the K inside the mask, so a caller evaluating g at many points adds
+        Python ints and builds each rational result once.
+        """
+        L = math.lcm(*(q.denominator for q in self._coef.values()))
+        coef = [(mask, q.numerator * (L // q.denominator)) for mask, q in self._coef.items()]
+        return L, [sum(c for mask, c in coef if mask & ~imask == 0) for imask in masks]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ConstraintPolynomial):

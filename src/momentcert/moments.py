@@ -4,11 +4,11 @@ The truncated moment matrix of a vector at level t is indexed by the
 subsets of cardinality at most t in graded order, with entry (I, J) equal
 to the moment at I union J. moment_matrix is its one builder and takes
 either vector kind: a moment vector is read at each union, and a
-pseudo-probability vector gives the moment at a union as the superset sum
-of its nonzero entries, summed once per distinct union, so no dense 2^n
-pass runs. Shifting a moment vector by a constraint polynomial g produces
-the vector z with z_I = sum_K g_K * w_{I union K}; the moment matrix of z
-is the localizing matrix of g.
+pseudo-probability vector is read through its moments, the superset sums
+that from_pseudo_probabilities computes over the down-closure of its
+support only. Shifting a moment vector by a constraint polynomial g
+produces the vector z with z_I = sum_K g_K * w_{I union K}; the moment
+matrix of z is the localizing matrix of g.
 
 At the full level t = n the moment matrix factors exactly through the
 subset-inclusion zeta matrix Z as
@@ -35,6 +35,7 @@ from .lattice import (
     LatticeVector,
     SubsetIndex,
     enumerate_subsets,
+    from_pseudo_probabilities,
     to_pseudo_probabilities,
 )
 
@@ -64,24 +65,12 @@ def shift(g: ConstraintPolynomial, y: LatticeVector) -> LatticeVector:
 def moment_matrix(v: LatticeVector, t: int) -> list[list[Fraction]]:
     """Rows of the truncated moment matrix M_t in graded order.
 
-    Entry (I, J) is the moment at I union J: read from a moment vector,
-    or summed from a pseudo-probability vector over its nonzero entries
-    at supersets of the union.
+    Entry (I, J) is the moment at I union J. A pseudo-probability vector
+    is first turned into its moments by from_pseudo_probabilities, whose
+    pass covers only the down-closure of its support.
     """
     index = enumerate_subsets(v.n, t)
-    if v.kind == MOMENTS:
-        moment = v.get
-    else:
-        nonzero = list(v.items())
-        sums: dict[int, Fraction] = {}
-
-        def moment(union: int) -> Fraction:
-            if union not in sums:
-                sums[union] = sum(
-                    (val for mask, val in nonzero if union & ~mask == 0), Fraction(0)
-                )
-            return sums[union]
-
+    moment = (v if v.kind == MOMENTS else from_pseudo_probabilities(v)).get
     return [[moment(a.bits | b.bits) for b in index] for a in index]
 
 
@@ -145,12 +134,18 @@ def constraint_diagonal(
 
     The shifted functional's pseudo-probability at I is g evaluated at the
     0/1 point with support I times the pseudo-probability of y at I, so no
-    second transform pass is needed.
+    second transform pass is needed. g is evaluated on its integer
+    numerators, so each entry is built as one rational.
     """
     if g.n != y.n:
         raise LatticeError("constraint and vector over different ground sets")
     p = to_pseudo_probabilities(y) if y.kind == MOMENTS else y
-    entries = {mask: g.value_at(mask) * val for mask, val in p.items()}
+    pairs = list(p.items())
+    L, values = g.scaled_values(mask for mask, _ in pairs)
+    entries = {
+        mask: Fraction(x * q.numerator, L * q.denominator)
+        for (mask, q), x in zip(pairs, values)
+    }
     return LatticeVector(y.n, PSEUDO_PROBABILITIES, entries)
 
 

@@ -477,6 +477,20 @@ def test_gap_schedule_requires_a_base_choice(tmp_path, capsys):
     assert main(["gap", "schedule", "--n", "4", "--k", "2", "--out", str(out)]) == 3
 
 
+def test_gap_schedule_refuses_a_base_with_find_min_p(tmp_path, capsys, monkeypatch):
+    # Either choice alone would be served, so the pair is refused instead of
+    # one of them being dropped; no search runs before the refusal.
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the base search ran although the arguments are refused")
+
+    monkeypatch.setattr(cli, "find_min_feasible_P", unreachable)
+    out = tmp_path / "report.json"
+    argv = ["gap", "schedule", "--n", "4", "--k", "2", "--P", "6", "--find-min-p"]
+    assert main(argv + ["--out", str(out)]) == 3
+    assert "exactly one of --P and --find-min-p" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gap_schedule_find_min_p(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main(

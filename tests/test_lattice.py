@@ -253,6 +253,57 @@ def test_from_pseudo_is_the_plain_superset_sum(case):
     assert to_pseudo_probabilities(w) == p
 
 
+@st.composite
+def _wide_sparse_entries(draw):
+    """Up to 8 nonzero entries over as many as 24 elements, each mask of at most
+    10 members, so the down-closure stays small where 2^n does not."""
+    n = draw(st.integers(min_value=1, max_value=24))
+    mask = st.sets(st.integers(min_value=0, max_value=n - 1), max_size=10).map(
+        lambda bits: sum(1 << b for b in bits)
+    )
+    value = st.builds(
+        F,
+        st.integers(min_value=-60, max_value=60).filter(bool),
+        st.sampled_from(_DENOMINATORS),
+    )
+    return n, draw(st.dictionaries(mask, value, max_size=8))
+
+
+@pytest.mark.parametrize(
+    "kind, transform, alternating",
+    [
+        (MOMENTS, to_pseudo_probabilities, True),
+        (PSEUDO_PROBABILITIES, from_pseudo_probabilities, False),
+    ],
+)
+@settings(max_examples=40, deadline=None)
+@given(case=_wide_sparse_entries())
+def test_transforms_on_wide_ground_sets_stay_in_the_down_closure(
+    kind, transform, alternating, case
+):
+    # Each output entry is the literal sum over the stored S containing U of
+    # (+-1) * v_S, and no output mask falls outside the down-closure of the
+    # input support, at ground sizes a 2^n pass could not hold.
+    n, entries = case
+    closure = set()
+    for s_mask in entries:
+        sub = s_mask
+        while True:
+            closure.add(sub)
+            if sub == 0:
+                break
+            sub = (sub - 1) & s_mask
+    out = dict(transform(LatticeVector(n, kind, entries)).items())
+    assert set(out) <= closure
+    for u in closure:
+        expected = sum(
+            (-v if alternating and (s_mask ^ u).bit_count() & 1 else v)
+            for s_mask, v in entries.items()
+            if u & ~s_mask == 0
+        )
+        assert out.get(u, 0) == expected
+
+
 def test_transform_kind_checks():
     w = LatticeVector(2, MOMENTS, {0: 1})
     p = LatticeVector(2, PSEUDO_PROBABILITIES, {0: 1})

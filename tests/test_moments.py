@@ -86,10 +86,20 @@ def sparse_pseudo_vectors(draw):
 @settings(max_examples=60, deadline=None)
 @given(sparse_pseudo_vectors())
 def test_moment_matrix_of_pseudo_vector_matches_its_moments(case):
-    # The superset sums read off the sparse pseudo entries equal the
-    # moments that the zeta transform gives at every union.
+    # Entry (I, J) is the moment at I union J: the sum of p over the stored
+    # masks containing the union, summed here entry by entry.
     p, t = case
-    assert moment_matrix(p, t) == moment_matrix(from_pseudo_probabilities(p), t)
+    index = enumerate_subsets(p.n, t)
+    rows = moment_matrix(p, t)
+    assert len(rows) == len(index)
+    for row, a in zip(rows, index):
+        assert row == [
+            sum(
+                (val for mask, val in p.items() if (a.bits | b.bits) & ~mask == 0),
+                F(0),
+            )
+            for b in index
+        ]
 
 
 def test_moment_matrix_level_bounds():

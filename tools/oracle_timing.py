@@ -30,13 +30,17 @@ pseudo-probabilities of the level-4 covering plus is_psd_exact on its
 rows, as verify_schedule runs them; size and bits are those rows'. The
 level-4 covering is PSD at both bases; at P = 13 covering-1 fails.
 
-The last line times the transform pair that verify_schedule runs:
-from_pseudo_probabilities and then, inside decompose,
-to_pseudo_probabilities, on the schedule solution for n = 4, k = 2,
-P = 20 (16 jobs, so 2^16 lattice entries). Its size is the entry count;
-it also gives the bit length of the largest numerator on either
-side, "exact" when the round trip returns the input, and the median of 3
-runs of the pair.
+The last two lines time a transform pair. The first is the pair that
+verify_schedule runs: from_pseudo_probabilities and then, inside
+decompose, to_pseudo_probabilities, on the schedule solution for n = 4,
+k = 2, P = 20 (16 jobs, 137 nonzero pseudo-probabilities). The second is
+the pair to_pseudo_probabilities and then from_pseudo_probabilities on
+the moments of the seeded measure on {0,1}^9 (the adf input, with every
+one of its 512 entries nonzero), so the cost of a full support stays in
+view. Each size is the number of entries the pass touches, the
+down-closure of the input's support; each line also gives the bit
+length of the largest numerator on either side, "exact" when the round
+trip returns the input, and the median of 3 runs of the pair.
 
 Two assemble lines time assemble alone on the perturbed adf forms at
 n = 8 and n = 9 (the same seed, level 2), the densification every
@@ -82,6 +86,7 @@ from momentcert.gaps import (  # noqa: E402
 )
 from momentcert.lattice import (  # noqa: E402
     MOMENTS,
+    PSEUDO_PROBABILITIES,
     LatticeVector,
     SubsetIndex,
     from_pseudo_probabilities,
@@ -225,22 +230,40 @@ def main() -> int:
         print(adf_json_row(n), flush=True)
     for P in (13, 14):
         print(schedule_covering_row(P), flush=True)
-    print(transform_row(), flush=True)
+    print(transform_row("transform-pair schedule n=4",
+                        schedule_solution(build_schedule(4, 2, 20))), flush=True)
+    print(transform_row("transform-pair moments n=9", measure_moments(9)), flush=True)
     return 0
 
 
-def transform_row() -> str:
-    p = schedule_solution(build_schedule(4, 2, 20))
+def down_closure_size(v: LatticeVector) -> int:
+    """How many masks lie below some mask of v's support."""
+    masks = {mask for mask, _ in v.items()}
+    for b in range(v.n):
+        masks |= {mask & ~(1 << b) for mask in masks}
+    return len(masks)
+
+
+def transform_row(name: str, v: LatticeVector) -> str:
+    there, back = ((from_pseudo_probabilities, to_pseudo_probabilities)
+                   if v.kind == PSEUDO_PROBABILITIES
+                   else (to_pseudo_probabilities, from_pseudo_probabilities))
     times = []
     for _ in range(3):
         start = time.perf_counter()
-        w = from_pseudo_probabilities(p)
-        back = to_pseudo_probabilities(w)
+        u = there(v)
+        again = back(u)
         times.append(time.perf_counter() - start)
-    bits = max(abs(v.numerator).bit_length() for vec in (p, w) for _, v in vec.items())
-    verdict = "exact" if back == p else "DIFF"
-    return (f"{'transform-pair schedule n=4':<28} {1 << p.n:>5} {bits:>5} "
+    bits = max(abs(x.numerator).bit_length() for vec in (v, u) for _, x in vec.items())
+    verdict = "exact" if again == v else "DIFF"
+    return (f"{name:<28} {down_closure_size(v):>5} {bits:>5} "
             f"{verdict:>7} {statistics.median(times):>9.4f}")
+
+
+def measure_moments(n: int) -> LatticeVector:
+    """The moments of the seeded measure on {0,1}^n that perturbed_adf starts from."""
+    numer, total = workloads.measure_moments(random.Random(ADF_SEED), n)
+    return LatticeVector(n, MOMENTS, {m: Fraction(v, total) for m, v in enumerate(numer)})
 
 
 if __name__ == "__main__":
