@@ -16,13 +16,17 @@ Terms whose coefficient p_J is zero contribute nothing and are dropped.
 
 The form is fixed by p and t, so from_pseudo is the one builder: decompose
 and the JSON reader both go through it, and it enumerates P_t once per
-form and hands that index to g_vector for every term. The JSON payload is
-that (p, t) alone, p split at t into the diagonal and the term
-coefficients; no G(J) is written, and the reader rebuilds each one. The
-other forms are built in certify, which only assembles and reads them and
-never writes them: decide_form's Schur complement of a form onto its
-nonpositive diagonal rows, and the stages of a pivot state, the diagonal
-plus the folded terms.
+form. Each G(J) is fixed by J and that index alone, so a term holds the
+two and g_vector builds its vector the first time it is read (assemble,
+a disk reading of a folded term, a pivot, decide_form). decompose, the
+JSON round trip and a recipe that the disks settle without a pivot read
+no G(J) and build none. The JSON payload is that (p, t) alone, p split
+at t into the diagonal and the term coefficients; no G(J) is written.
+Terms are immutable values shared between forms. The other forms are
+built in certify, which only assembles and reads them and never writes
+them: decide_form's Schur complement of a form onto its nonpositive
+diagonal rows, and the stages of a pivot state, the diagonal plus the
+folded terms, whose pivoted terms carry their own vectors.
 
 assemble densifies a form for the exact oracle. It sums the rank-one
 terms as Python ints over one common denominator: each term's vector is
@@ -36,9 +40,8 @@ place rank-one terms are summed into a dense matrix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Sequence, Union
 
 from .lattice import (
     MOMENTS,
@@ -48,6 +51,7 @@ from .lattice import (
     SubsetIndex,
     enumerate_subsets,
     json_int,
+    parse_subset_mask,
     rat,
     rat_str,
     to_pseudo_probabilities,
@@ -64,11 +68,13 @@ def g_vector(J: SubsetIndex, index: Sequence[SubsetIndex]) -> list[Fraction]:
     index is P_t(N) in graded order, as enumerate_subsets builds it, and t
     is the cardinality of its last subset. G(J) is only defined for
     |J| >= t + 1; below that the term would collide with the diagonal
-    part, so it is rejected as an invalid argument.
+    part, so it is rejected as an invalid argument. The t + 1 values
+    C(|J| - |I| - 1, t - |I|) with their signs are computed once per call,
+    and each entry is a lookup by |I|.
     """
-    t = index[-1].cardinality
+    t = index[-1].bits.bit_count()
     jbits = J.bits
-    jcard = J.cardinality
+    jcard = jbits.bit_count()
     if jcard <= t:
         raise AdfError(f"term set {J} has cardinality {jcard}, needs more than t={t}")
     # G(J)_I = (-1)^(t - |I|) * C(|J| - |I| - 1, t - |I|) for I inside J.
@@ -76,16 +82,33 @@ def g_vector(J: SubsetIndex, index: Sequence[SubsetIndex]) -> list[Fraction]:
         Fraction((-1) ** (t - i) * math.comb(jcard - i - 1, t - i)) for i in range(t + 1)
     ]
     zero = Fraction(0)
-    return [zero if I.bits & ~jbits else by_card[I.cardinality] for I in index]
+    return [zero if I.bits & ~jbits else by_card[I.bits.bit_count()] for I in index]
 
 
-@dataclass
 class RankOneTerm:
-    """One rank-one component p_J * G(J) G(J)^T of the almost diagonal form."""
+    """One rank-one component coefficient * g g^T of an almost diagonal form.
 
-    J: SubsetIndex
-    coefficient: Fraction
-    g_vec: list[Fraction]
+    An immutable value, compared by identity: nothing edits a term or its
+    vector once it is made, so forms, pivot states and snapshots share
+    term objects. A term of from_pseudo is made with J and the form's P_t
+    index and no vector, and g_vec = G(J) is built by g_vector when it is
+    first read; decompose, the JSON round trip and a recipe that the disks
+    settle without a pivot read none. Any other term (a pivot's, a Schur
+    complement's) is made with its vector.
+    """
+
+    __slots__ = ("J", "coefficient", "_vec", "_index")
+
+    def __init__(self, J: SubsetIndex, coefficient: Fraction,
+                 g_vec: Union[list[Fraction], None] = None,
+                 index: Union[Sequence[SubsetIndex], None] = None) -> None:
+        self.J, self.coefficient, self._vec, self._index = J, coefficient, g_vec, index
+
+    @property
+    def g_vec(self) -> list[Fraction]:
+        if self._vec is None:
+            self._vec = g_vector(self.J, self._index)
+        return self._vec
 
     @property
     def tag(self) -> str:
@@ -117,9 +140,10 @@ class AlmostDiagonalForm:
     def to_json_dict(self) -> dict:
         """The (p, t) of the form: p on P_t as diag, p_J above t as terms.
 
-        A form from_pseudo builds is fixed by these, so G(J) is not
-        written: from_json_dict rebuilds it. The forms certify makes
-        (decide_form's Schur complements, pivot stages) are never written.
+        A form from_pseudo builds is fixed by these, so G(J) is neither
+        written nor read: from_json_dict gives each term its J again. The
+        forms certify makes (decide_form's Schur complements, pivot
+        stages) are never written.
         """
         return {
             "n": self.n,
@@ -137,7 +161,8 @@ class AlmostDiagonalForm:
 
         The payload states a pseudo-probability vector: diag gives p on P_t
         and each term's coeff gives p_J above t. The form is from_pseudo of
-        that vector, so each G(J) is rebuilt here and never read. It is
+        that vector, so no G(J) is read, and each one is built only when
+        the form's reader needs it. Labels are parsed straight to masks. It is
         accepted only if decompose could have written it: every label is
         listed once, no coefficient is zero, and a term has the keys J and
         coeff and no other.
@@ -153,29 +178,33 @@ class AlmostDiagonalForm:
             raise AdfError("malformed almost-diagonal payload: diag or terms")
         stated: dict[int, Fraction] = {}
         for key, value in diag_map.items():
-            s = SubsetIndex.parse(key, n)
-            if s.cardinality > t or s.bits in stated:
+            mask = parse_subset_mask(key, n)
+            if mask.bit_count() > t or mask in stated:
                 raise AdfError(f"diagonal label {key} is outside P_t or listed twice")
-            stated[s.bits] = rat(value)
+            stated[mask] = rat(value)
         for item in terms_raw:
             try:
-                J = SubsetIndex.parse(item["J"], n)
+                mask = parse_subset_mask(item["J"], n)
                 coeff = rat(item["coeff"])
                 extra = sorted(set(item) - {"J", "coeff"})
             except (KeyError, TypeError, ValueError) as exc:
                 raise AdfError(f"malformed rank-one term: {exc}") from exc
             if extra:
-                raise AdfError(f"rank-one term {J} has keys other than J and coeff: {extra}")
-            if J.cardinality <= t:
-                raise AdfError(f"term set {J} needs more than t={t} elements")
-            if not coeff or J.bits in stated:
-                raise AdfError(f"term {J} has coefficient zero or is listed twice")
-            stated[J.bits] = coeff
+                raise AdfError(
+                    f"rank-one term {item['J']} has keys other than J and coeff: {extra}")
+            if mask.bit_count() <= t:
+                raise AdfError(f"term set {item['J']} needs more than t={t} elements")
+            if not coeff or mask in stated:
+                raise AdfError(f"term {item['J']} has coefficient zero or is listed twice")
+            stated[mask] = coeff
         return from_pseudo(LatticeVector(n, PSEUDO_PROBABILITIES, stated), t)
 
 
 def from_pseudo(p: LatticeVector, t: int) -> AlmostDiagonalForm:
-    """Almost diagonal form straight from a pseudo-probability vector."""
+    """Almost diagonal form straight from a pseudo-probability vector.
+
+    Each term gets its J and the shared P_t index; no G(J) is built here.
+    """
     if p.kind != PSEUDO_PROBABILITIES:
         raise AdfError("expected a pseudo-probability vector")
     if not 0 <= t <= p.n:
@@ -189,8 +218,7 @@ def from_pseudo(p: LatticeVector, t: int) -> AlmostDiagonalForm:
         if card <= t:
             diag[pos[mask]] = val
         else:
-            J = SubsetIndex(mask, p.n)
-            terms.append(RankOneTerm(J, val, g_vector(J, index)))
+            terms.append(RankOneTerm(SubsetIndex(mask, p.n), val, index=index))
     return AlmostDiagonalForm(p.n, t, index, diag, terms)
 
 

@@ -4,10 +4,10 @@ The cheap sufficient test is Gershgorin's: a symmetric matrix whose every
 diagonal entry is at least the sum of the absolute off-diagonal entries in
 its row is PSD. The test is one-sided, so when the raw disks fail we pivot:
 a rank-one term c * g g^T with g_S nonzero is cleared by the congruence
-that maps g to g_S e_S, leaving c * g_S^2 at (S, S) and every other term's
-vector updated in place. Pivoting preserves congruence, so a disk pass
-after any pivot sequence certifies the original matrix once the remaining
-unfolded terms are all PSD themselves.
+that maps g to g_S e_S, leaving c * g_S^2 at (S, S) and every other term
+replaced by one over its mapped vector. Pivoting preserves congruence, so
+a disk pass after any pivot sequence certifies the original matrix once
+the remaining unfolded terms are all PSD themselves.
 
 The pivot state stays an almost diagonal form throughout. With
 T = I + sum_i m_i E_{i,s} and D the diagonal,
@@ -168,7 +168,10 @@ class PivotStep:
 class PivotState:
     """A pivoted form: diagonal, the folded rank-one terms, and the unfolded terms.
 
-    Mutable and single-owner: pivot_reduce and fold_term edit it in place.
+    Single-owner: pivot_reduce and fold_term change its diagonal and its
+    term lists, but never edit a term, which is an immutable value.
+    It starts from the input form's own term objects, so a form's G(J)
+    vectors are built only if a pivot or a disk reading needs them.
     folded holds the terms sigma (e_s + m)(e_s + m)^T that pivots create
     and the terms fold_term moves out of terms, so that
 
@@ -176,8 +179,9 @@ class PivotState:
 
     is always congruent to the assembled input form, which is what makes a
     final disk pass (gershgorin(state)) meaningful. The stage is the
-    diagonal plus the folded terms; a snapshot keeps a copy of it as a
-    form, and PsdCertificate.trace_matrices assembles each one.
+    diagonal plus the folded terms; a snapshot is the stage as a form,
+    with its own diagonal and term list over the shared terms, and
+    PsdCertificate.trace_matrices assembles each one.
     """
 
     __slots__ = ("n", "t", "index", "diag", "folded", "terms", "trace", "snapshots")
@@ -187,10 +191,7 @@ class PivotState:
         self.index = list(form.index)
         self.diag = list(form.diag)
         self.folded: list[RankOneTerm] = []
-        self.terms: list[RankOneTerm] = [
-            RankOneTerm(term.J, term.coefficient, list(term.g_vec))
-            for term in form.terms
-        ]
+        self.terms: list[RankOneTerm] = list(form.terms)
         self.trace: list[PivotStep] = []
         self.snapshots: list[AlmostDiagonalForm] = []
 
@@ -210,17 +211,14 @@ class PivotState:
         raise CertifyError(f"term {J} is unknown or already reduced")
 
     def stage(self) -> AlmostDiagonalForm:
-        """The diagonal plus the folded terms, as a form sharing their vectors."""
+        """The diagonal plus the folded terms, as a form sharing the term objects."""
         return AlmostDiagonalForm(self.n, self.t, self.index, self.diag, self.folded)
 
     def snapshot(self) -> None:
-        self.snapshots.append(AlmostDiagonalForm(
-            self.n, self.t, self.index, self.diag,
-            [RankOneTerm(t.J, t.coefficient, list(t.g_vec)) for t in self.folded],
-        ))
+        self.snapshots.append(self.stage())
 
     def fold_term(self, term: RankOneTerm) -> None:
-        self.terms.remove(term)
+        self.terms = [t for t in self.terms if t is not term]
         self.folded.append(term)
 
     def fold_negative_terms(self) -> None:
@@ -237,9 +235,11 @@ def pivot_reduce(state: PivotState, H: SubsetIndex, S: SubsetIndex) -> PivotStat
 
         T D T^T = D - sigma e_s e_s^T + sigma (e_s + m)(e_s + m)^T:
 
-    every folded and remaining vector v becomes T v = v + v_s m, D_ss
-    becomes coeff * g_S^2, and a nonzero sigma (e_s + m)(e_s + m)^T is
-    appended to folded. The cost is O(|m|) per vector with v_s nonzero.
+    every folded and remaining term with v_s nonzero is replaced by a new
+    term over T v = v + v_s m (terms are immutable, so the input form and
+    earlier snapshots keep theirs), D_ss becomes coeff * g_S^2, and a
+    nonzero sigma (e_s + m)(e_s + m)^T is appended to folded. H is removed
+    by identity. The cost is one vector copy plus O(|m|) per replaced term.
     Raises InvalidPivotError when H has no support at S, CertifyError when
     H was already reduced.
     """
@@ -251,12 +251,15 @@ def pivot_reduce(state: PivotState, H: SubsetIndex, S: SubsetIndex) -> PivotStat
     mults = [
         (i, -v / gs) for i, v in enumerate(term.g_vec) if i != s and v
     ]
-    state.terms.remove(term)
-    for other in state.folded + state.terms:
-        hs = other.g_vec[s]
-        if hs:
-            for i, m in mults:
-                other.g_vec[i] += m * hs
+    state.terms = [other for other in state.terms if other is not term]
+    for terms in (state.folded, state.terms):
+        for k, other in enumerate(terms):
+            hs = other.g_vec[s]
+            if hs:
+                vec = list(other.g_vec)
+                for i, m in mults:
+                    vec[i] += m * hs
+                terms[k] = RankOneTerm(other.J, other.coefficient, vec)
     sigma = state.diag[s]
     state.diag[s] = term.coefficient * gs * gs
     if sigma:
@@ -419,7 +422,7 @@ def decide_form(form: AlmostDiagonalForm) -> PsdCertificate:
     if any(t.coefficient < 0 for t in terms) or len(R) + k >= form.size():
         return is_psd_exact(assemble(form))
     P = [i for i, d in enumerate(D) if d > 0]
-    vecs = [list(t.g_vec) for t in terms]
+    vecs = [t.g_vec for t in terms]
     H = [[sum((a[i] * b[i] / D[i] for i in P if a[i] and b[i]), Fraction(0)) for b in vecs]
          for a in vecs]
     for j, term in enumerate(terms):

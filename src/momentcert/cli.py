@@ -68,6 +68,7 @@ from .lattice import (
     SubsetIndex,
     check_subset_count,
     json_int,
+    parse_subset_mask,
     rat,
     rat_str,
     to_pseudo_probabilities,
@@ -123,7 +124,7 @@ def _load(path: str, parse: Callable[[Any], T]) -> T:
 def _parse_moments(data: dict) -> LatticeVector:
     n = json_int(data["n"])
     entries = {
-        SubsetIndex.parse(label, n).bits: rat(value)
+        parse_subset_mask(label, n): rat(value)
         for label, value in data["values"].items()
     }
     return LatticeVector(n, MOMENTS, entries)

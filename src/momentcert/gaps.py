@@ -33,7 +33,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterator, Union
 
-from .adf import AlmostDiagonalForm, RankOneTerm, decompose, from_pseudo, g_vector
+from .adf import AlmostDiagonalForm, RankOneTerm, decompose, from_pseudo
 from .certify import (
     PivotState,
     PsdCertificate,
@@ -334,7 +334,7 @@ def trace_bound_check(n: int, P: RationalLike, y: LatticeVector) -> TraceBoundRe
     # it: the congruence that clears it is what produces the trace identity,
     # fold or no fold.
     if not form.terms:
-        form.terms.append(RankOneTerm(ground, Fraction(0), g_vector(ground, form.index)))
+        form.terms.append(RankOneTerm(ground, Fraction(0), index=form.index))
     state = PivotState(form)
     pivot_reduce(state, ground, SubsetIndex(0, n))
     # The trace is the sum of the disk centers: the pivot keeps

@@ -56,9 +56,10 @@ def max_ground_size() -> int:
 
 RationalLike = Union[int, str, Fraction]
 
+_ZERO = Fraction(0)
+
 # An optional sign, ASCII digits, and an optional "/" with ASCII digits.
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
-_ELEMENT = re.compile(r"[0-9]+")
 
 
 def rat(value: RationalLike) -> Fraction:
@@ -148,27 +149,40 @@ class SubsetIndex:
     @classmethod
     def parse(cls, text: str, n: int) -> "SubsetIndex":
         """Parse the text form '{1,3}' (or '{}' for the empty set)."""
-        if not isinstance(text, str):
-            raise LatticeError(f"not a subset: {text!r}")
-        body = text.strip()
-        if not (body.startswith("{") and body.endswith("}")):
-            raise LatticeError(f"not a subset: {text!r}")
-        inner = body[1:-1].strip()
-        bits = 0
-        if inner:
-            for part in inner.split(","):
-                try:
-                    if _ELEMENT.fullmatch(part.strip()) is None:
-                        raise ValueError(part)
-                    i = int(part)
-                except ValueError as exc:
-                    raise LatticeError(f"not a subset: {text!r}") from exc
-                if not 1 <= i <= n:
-                    raise LatticeError(f"element {i} outside ground set of size {n}")
-                if bits >> (i - 1) & 1:
-                    raise LatticeError(f"repeated element {i} in {text!r}")
-                bits |= 1 << (i - 1)
-        return cls(bits, n)
+        return cls(parse_subset_mask(text, n), n)
+
+
+def parse_subset_mask(text: str, n: int) -> int:
+    """The bitmask of the text form '{1,3}' ('{}' for the empty set) over {1..n}.
+
+    Each element is ASCII digits, optionally padded with whitespace, in
+    1..n and listed once. n is checked first, so no element can ask for a
+    mask wider than the ground-size cap. Readers of many labels call this
+    directly and build no SubsetIndex.
+    """
+    if not 0 <= n <= max_ground_size():
+        raise LatticeError(f"ground size {n} out of range")
+    if not isinstance(text, str):
+        raise LatticeError(f"not a subset: {text!r}")
+    body = text.strip()
+    if not (body.startswith("{") and body.endswith("}")):
+        raise LatticeError(f"not a subset: {text!r}")
+    inner = body[1:-1].strip()
+    bits = 0
+    for part in inner.split(",") if inner else ():
+        part = part.strip()
+        try:
+            if not (part.isascii() and part.isdigit()):
+                raise ValueError(part)
+            i = int(part)
+        except ValueError as exc:
+            raise LatticeError(f"not a subset: {text!r}") from exc
+        if not 1 <= i <= n:
+            raise LatticeError(f"element {i} outside ground set of size {n}")
+        if bits >> (i - 1) & 1:
+            raise LatticeError(f"repeated element {i} in {text!r}")
+        bits |= 1 << (i - 1)
+    return bits
 
 
 def check_subset_count(n: int, t: int) -> None:
@@ -225,7 +239,8 @@ class LatticeVector:
 
     The store is a mask->value map of the nonzero entries; absent masks
     read as zero. from_dense and to_dense convert to and from 2^n lists
-    of Fractions.
+    of Fractions, and to_dict copies the map out for callers that read
+    many masks.
     """
 
     __slots__ = ("n", "kind", "_entries")
@@ -262,7 +277,7 @@ class LatticeVector:
         return vec
 
     def get(self, index: Union[SubsetIndex, int]) -> Fraction:
-        return self._entries.get(_mask_of(index, self.n), Fraction(0))
+        return self._entries.get(_mask_of(index, self.n), _ZERO)
 
     __getitem__ = get
 
@@ -270,6 +285,10 @@ class LatticeVector:
         """Nonzero (mask, value) pairs in graded order."""
         pairs = sorted(self._entries.items(), key=lambda mv: (mv[0].bit_count(), mv[0]))
         return iter(pairs)
+
+    def to_dict(self) -> dict[int, Fraction]:
+        """The nonzero entries as a new mask -> value dict."""
+        return dict(self._entries)
 
     def to_dense(self) -> list[Fraction]:
         out = [Fraction(0)] * (1 << self.n)

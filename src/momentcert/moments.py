@@ -65,13 +65,16 @@ def shift(g: ConstraintPolynomial, y: LatticeVector) -> LatticeVector:
 def moment_matrix(v: LatticeVector, t: int) -> list[list[Fraction]]:
     """Rows of the truncated moment matrix M_t in graded order.
 
-    Entry (I, J) is the moment at I union J. A pseudo-probability vector
-    is first turned into its moments by from_pseudo_probabilities, whose
-    pass covers only the down-closure of its support.
+    Entry (I, J) is the moment at I union J, read from one mask -> value
+    map with one shared zero for the unions outside its support. A
+    pseudo-probability vector is first turned into its moments by
+    from_pseudo_probabilities, whose pass covers only the down-closure of
+    its support.
     """
-    index = enumerate_subsets(v.n, t)
-    moment = (v if v.kind == MOMENTS else from_pseudo_probabilities(v)).get
-    return [[moment(a.bits | b.bits) for b in index] for a in index]
+    masks = [s.bits for s in enumerate_subsets(v.n, t)]
+    moment = (v if v.kind == MOMENTS else from_pseudo_probabilities(v)).to_dict().get
+    zero = Fraction(0)
+    return [[moment(a | b, zero) for b in masks] for a in masks]
 
 
 # ---------------------------------------------------------------------------

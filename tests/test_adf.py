@@ -228,6 +228,15 @@ def test_quadratic_form_matches_assembled_matrix():
         assert quadratic_form(form, v) == direct
 
 
+@settings(max_examples=100, deadline=None)
+@given(sparse_pseudo_forms())
+def test_each_lazy_g_vec_is_g_vector_of_its_set(form):
+    for term in form.terms:
+        # from_pseudo hands over J and the index, and the first read builds G(J)
+        assert term.g_vec == g_vector(term.J, form.index)
+        assert term.g_vec is term.g_vec
+
+
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------

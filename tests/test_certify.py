@@ -7,9 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import momentcert.adf
+import momentcert.certify
 from momentcert import (
     MOMENTS,
     PSEUDO_PROBABILITIES,
+    AlmostDiagonalForm,
     CertifyError,
     InvalidPivotError,
     LatticeVector,
@@ -22,6 +25,7 @@ from momentcert import (
     decide_form,
     decompose,
     from_pseudo,
+    from_pseudo_probabilities,
     g_vector,
     gershgorin,
     is_psd_exact,
@@ -534,6 +538,56 @@ def test_recipe_verdicts_match_the_oracle_on_random_forms():
             assert oracle.verdict == "PSD"
         else:
             assert cert.verdict == oracle.verdict
+
+
+def measure_moments(n, rng):
+    """Moments of a random measure on {0,1}^n: its pseudo-probabilities are the point weights."""
+    weights = {m: rng.randint(0, 5) for m in range(1 << n)}
+    return from_pseudo_probabilities(LatticeVector(n, PSEUDO_PROBABILITIES, weights))
+
+
+def test_a_measure_form_is_decomposed_and_certified_without_any_g_vector(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("g_vector was called")
+
+    monkeypatch.setattr(momentcert.adf, "g_vector", unreachable)
+    for n, t in [(4, 1), (5, 2), (6, 2)]:
+        form = decompose(measure_moments(n, random.Random(n)), t)
+        assert form.terms
+        again = AlmostDiagonalForm.from_json_dict(form.to_json_dict())
+        for f in (form, again):
+            cert = certify_recipe(f)
+            assert cert.verdict == "PSD" and cert.recipe_conclusive
+            assert cert.schedule == []
+
+
+def test_pivots_leave_the_input_form_and_earlier_snapshots_unchanged(monkeypatch):
+    def frozen(form):
+        return list(form.diag), [(u.J, u.coefficient, list(u.g_vec)) for u in form.terms]
+
+    real = momentcert.certify.pivot_reduce
+    seen = []
+
+    def recording(state, H, S):
+        out = real(state, H, S)
+        seen.append([frozen(f) for f in state.snapshots])
+        return out
+
+    monkeypatch.setattr(momentcert.certify, "pivot_reduce", recording)
+    for seed in range(5):
+        rng = random.Random(seed)
+        w = measure_moments(4, rng).to_dict()
+        # one singleton moment made negative: NotPSD, after greedy pivots
+        w[1 << rng.randrange(4)] = F(-1, 2)
+        form = decompose(LatticeVector(4, MOMENTS, w), 1)
+        before = frozen(form)
+        seen.clear()
+        cert = certify_recipe(form)
+        assert cert.verdict == "NotPSD" and len(cert.schedule) >= 2
+        assert frozen(form) == before
+        assert len(seen) == len(cert.schedule)
+        for recorded in seen:
+            assert [frozen(f) for f in cert.snapshots[:len(recorded)]] == recorded
 
 
 def test_recipe_output_is_deterministic():

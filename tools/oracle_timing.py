@@ -58,10 +58,21 @@ temporary directory. The size is the form's and the bits column is "-".
 The seconds column is the median encode time of 3 runs; the line ends with the median decode time and the file's bytes.
 The verdict column reads "exact" when the decoded form equals the
 encoded one.
+
+The adf-measure n=9 line runs a whole unperturbed adf job in process:
+cli.main with decompose --input on the seeded measure's moments at level
+2, then with certify --adf on the form it wrote, both in a temporary
+directory with the run reports kept off stdout. The size is the form's,
+the verdict is "PSD" when both commands exit 0, and the seconds column
+is the median of 3 runs of the pair. The line ends with the number of
+g_vector calls in one further run of the pair, counted by a wrapper on
+momentcert.adf.g_vector.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import os
 import random
 import statistics
@@ -74,6 +85,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
+import momentcert.adf as adf  # noqa: E402
 import momentcert.certify as certify  # noqa: E402
 from momentcert import cli  # noqa: E402
 from momentcert.adf import AlmostDiagonalForm, assemble, from_pseudo  # noqa: E402
@@ -90,6 +102,7 @@ from momentcert.lattice import (  # noqa: E402
     LatticeVector,
     SubsetIndex,
     from_pseudo_probabilities,
+    rat_str,
     to_pseudo_probabilities,
 )
 from momentcert.moments import constraint_diagonal, moment_matrix  # noqa: E402
@@ -204,6 +217,41 @@ def adf_json_row(n: int) -> str:
             f"  decode={statistics.median(decode):.4f} bytes={size}")
 
 
+def adf_measure_row(n: int) -> str:
+    w = measure_moments(n)
+    values = {str(SubsetIndex(mask, n)): rat_str(v) for mask, v in w.items()}
+    g_vector, calls = adf.g_vector, []
+
+    def counted(J, index):
+        calls.append(J)
+        return g_vector(J, index)
+
+    times = []
+    with tempfile.TemporaryDirectory() as tmp:
+        moments, form, cert = (os.path.join(tmp, name) for name in ("w.json", "f.json", "c.json"))
+        cli._write_json(moments, {"n": n, "values": values})
+        argvs = (["decompose", "--input", moments, "--level", str(workloads.ADF_LEVEL),
+                  "--out", form], ["certify", "--adf", form, "--out", cert])
+
+        def job() -> list[int]:
+            with contextlib.redirect_stdout(io.StringIO()):
+                return [cli.main(argv) for argv in argvs]
+
+        for _ in range(3):
+            start = time.perf_counter()
+            codes = job()
+            times.append(time.perf_counter() - start)
+        adf.g_vector = counted
+        try:
+            job()
+        finally:
+            adf.g_vector = g_vector
+        size = cli._load(form, AlmostDiagonalForm.from_json_dict).size()
+    verdict = "PSD" if codes == [0, 0] else f"exit{codes}"
+    return (f"{f'adf-measure n={n}':<28} {size:>5} {'-':>5} {verdict:>7} "
+            f"{statistics.median(times):>9.4f}  g_vector={len(calls)}")
+
+
 def schedule_covering_row(P: int) -> str:
     instance = build_schedule(4, 2, P)
     zp = constraint_diagonal(instance.covering_constraint(4), schedule_solution(instance))
@@ -228,6 +276,7 @@ def main() -> int:
         print(assemble_row(n), flush=True)
     for n in (8, 9):
         print(adf_json_row(n), flush=True)
+    print(adf_measure_row(9), flush=True)
     for P in (13, 14):
         print(schedule_covering_row(P), flush=True)
     print(transform_row("transform-pair schedule n=4",
