@@ -17,24 +17,29 @@ Terms whose coefficient p_J is zero contribute nothing and are dropped.
 The form is fixed by p and t, so from_pseudo is the one builder: decompose
 and the JSON reader both go through it, and it enumerates P_t once per
 form. Each G(J) is fixed by J and that index alone, so a term holds the
-two and g_vector builds its vector the first time it is read (assemble,
-a disk reading of a folded term, a pivot, decide_form). decompose, the
-JSON round trip and a recipe that the disks settle without a pivot read
-no G(J) and build none. The JSON payload is that (p, t) alone, p split
-at t into the diagonal and the term coefficients; no G(J) is written.
-Terms are immutable values shared between forms. The other forms are
-built in certify, which only assembles and reads them and never writes
-them: decide_form's Schur complement of a form onto its nonpositive
-diagonal rows, and the stages of a pivot state, the diagonal plus the
-folded terms, whose pivoted terms carry their own vectors.
+two and g_vector builds its integer vector the first time it is read
+(assemble, a disk reading of a folded term, a pivot, decide_form).
+decompose, the JSON round trip and a recipe that the disks settle without
+a pivot read no G(J) and build none. The JSON payload is that (p, t)
+alone, p split at t into the diagonal and the term coefficients; no G(J)
+is written.
 
-assemble densifies a form for the exact oracle. It sums the rank-one
-terms as Python ints over one common denominator: each term's vector is
-scaled to integers, every product lands in one integer upper triangle at
-the term's nonzeros, and each nonzero entry becomes a single Fraction at
-the end. The same kernel serves G(J) terms, decide_form's rational
-vectors and the pivot stages of certify, which stay forms; it is the one
-place rank-one terms are summed into a dense matrix.
+Every term's vector is an integer vector num over one positive
+denominator den, in lowest terms: G(J) has den 1, a term made from a
+rational vector is brought to that shape once, and the pivots of certify
+build theirs fraction-free. RankOneTerm.g_vec is the Fraction view. Terms
+are immutable values shared between forms. The other forms are built in
+certify, which only assembles and reads them and never writes them:
+decide_form's Schur complement of a form onto its nonpositive diagonal
+rows, and the stages of a pivot state, the diagonal plus the folded
+terms, whose pivoted terms carry their own vectors.
+
+rank_one_triangle is the one place rank-one terms are summed: as Python
+ints over one common denominator L, every product landing in one integer
+upper triangle at the term's nonzeros. assemble turns that triangle into
+the dense Fraction matrix the exact oracle, replay and --trace read, one
+Fraction per nonzero entry; certify's disk reading of a form reads its
+centers and radii from the triangle itself.
 """
 
 from __future__ import annotations
@@ -48,6 +53,7 @@ from .lattice import (
     PSEUDO_PROBABILITIES,
     LatticeError,
     LatticeVector,
+    RationalLike,
     SubsetIndex,
     enumerate_subsets,
     json_int,
@@ -62,15 +68,16 @@ class AdfError(LatticeError):
     """Invalid argument to an almost-diagonal-form operation."""
 
 
-def g_vector(J: SubsetIndex, index: Sequence[SubsetIndex]) -> list[Fraction]:
-    """The rank-one support vector G(J) over the caller's P_t index.
+def g_vector(J: SubsetIndex, index: Sequence[SubsetIndex]) -> list[int]:
+    """The rank-one support vector G(J) over the caller's P_t index, as ints.
 
     index is P_t(N) in graded order, as enumerate_subsets builds it, and t
     is the cardinality of its last subset. G(J) is only defined for
     |J| >= t + 1; below that the term would collide with the diagonal
     part, so it is rejected as an invalid argument. The t + 1 values
     C(|J| - |I| - 1, t - |I|) with their signs are computed once per call,
-    and each entry is a lookup by |I|.
+    and each entry is a lookup by |I|. Its entry at any t-subset of J is 1,
+    so its content is 1.
     """
     t = index[-1].bits.bit_count()
     jbits = J.bits
@@ -78,37 +85,56 @@ def g_vector(J: SubsetIndex, index: Sequence[SubsetIndex]) -> list[Fraction]:
     if jcard <= t:
         raise AdfError(f"term set {J} has cardinality {jcard}, needs more than t={t}")
     # G(J)_I = (-1)^(t - |I|) * C(|J| - |I| - 1, t - |I|) for I inside J.
-    by_card = [
-        Fraction((-1) ** (t - i) * math.comb(jcard - i - 1, t - i)) for i in range(t + 1)
-    ]
-    zero = Fraction(0)
-    return [zero if I.bits & ~jbits else by_card[I.bits.bit_count()] for I in index]
+    by_card = [(-1) ** (t - i) * math.comb(jcard - i - 1, t - i) for i in range(t + 1)]
+    return [0 if I.bits & ~jbits else by_card[I.bits.bit_count()] for I in index]
 
 
 class RankOneTerm:
     """One rank-one component coefficient * g g^T of an almost diagonal form.
 
+    g is stored as an integer vector num over one positive denominator
+    den, with gcd(den, *num) == 1; g_vec is the Fraction view of it.
     An immutable value, compared by identity: nothing edits a term or its
     vector once it is made, so forms, pivot states and snapshots share
     term objects. A term of from_pseudo is made with J and the form's P_t
-    index and no vector, and g_vec = G(J) is built by g_vector when it is
-    first read; decompose, the JSON round trip and a recipe that the disks
-    settle without a pivot read none. Any other term (a pivot's, a Schur
-    complement's) is made with its vector.
+    index and no vector, and num = G(J) (den 1) is built by g_vector when
+    it is first read; decompose, the JSON round trip and a recipe that the
+    disks settle without a pivot read none. A term made with a rational
+    vector (a Schur complement's) is brought to num / den once, through
+    rat, so a float or bool entry is refused; a pivot's term is made by
+    scaled from integers already in lowest terms.
     """
 
-    __slots__ = ("J", "coefficient", "_vec", "_index")
+    __slots__ = ("J", "coefficient", "den", "_num", "_index")
 
     def __init__(self, J: SubsetIndex, coefficient: Fraction,
-                 g_vec: Union[list[Fraction], None] = None,
+                 g_vec: Union[Sequence[RationalLike], None] = None,
                  index: Union[Sequence[SubsetIndex], None] = None) -> None:
-        self.J, self.coefficient, self._vec, self._index = J, coefficient, g_vec, index
+        self.J, self.coefficient, self._index, self.den, self._num = J, coefficient, index, 1, None
+        if g_vec is not None:
+            vec = [rat(x) for x in g_vec]
+            self.den = math.lcm(*(v.denominator for v in vec))
+            self._num = [v.numerator * (self.den // v.denominator) for v in vec]
+
+    @classmethod
+    def scaled(cls, J: SubsetIndex, coefficient: Fraction, num: list[int],
+               den: int) -> "RankOneTerm":
+        """The term over num / den, brought to a positive den and content 1."""
+        k = math.gcd(den, *num)
+        k = -k if den < 0 else k
+        term = cls(J, coefficient)
+        term._num, term.den = [x // k for x in num], den // k
+        return term
+
+    @property
+    def num(self) -> list[int]:
+        if self._num is None:
+            self._num = g_vector(self.J, self._index)
+        return self._num
 
     @property
     def g_vec(self) -> list[Fraction]:
-        if self._vec is None:
-            self._vec = g_vector(self.J, self._index)
-        return self._vec
+        return [Fraction(x, self.den) for x in self.num]
 
     @property
     def tag(self) -> str:
@@ -229,37 +255,46 @@ def decompose(w: LatticeVector, t: int) -> AlmostDiagonalForm:
     return from_pseudo(to_pseudo_probabilities(w), t)
 
 
-def assemble(form: AlmostDiagonalForm) -> list[list[Fraction]]:
-    """Dense symmetric matrix Diag + sum of coeff * g g^T, summed over one denominator.
+def rank_one_triangle(form: AlmostDiagonalForm) -> tuple[int, list[list[int]]]:
+    """The sum of the form's terms as one integer upper triangle U over L.
 
-    Each term's vector is scaled to integers h = d g by the lcm d of its
-    denominators, so its coefficient becomes c / d^2. With L the lcm of
-    those coefficient denominators, every term adds the integers
-    (c L / d^2) h_i h_j to one upper triangle over the nonzeros of h, and
-    each nonzero entry of the sum becomes one Fraction over L, mirrored
-    below the diagonal. Any rational form takes this path: G(J) terms
-    from from_pseudo as well as decide_form's Schur complement vectors.
+    L is the lcm of the denominators q = c.denominator * den^2 of the
+    terms (c, num / den), and each term adds c.numerator (L / q) num_i
+    num_j to U[i][j], i <= j, over the nonzeros of num. The entries below
+    the diagonal stay zero, and the diagonal D is not included.
     """
     size = form.size()
-    scaled: list[tuple[Fraction, list[tuple[int, int]]]] = []
+    scaled: list[tuple[int, int, list[tuple[int, int]]]] = []
     L = 1
     for term in form.terms:
         c = term.coefficient
-        nz = [(k, v) for k, v in enumerate(term.g_vec) if v]
+        nz = [(k, v) for k, v in enumerate(term.num) if v]
         if not c or not nz:
             continue
-        d = math.lcm(*(v.denominator for _, v in nz))
-        w = Fraction(c.numerator, c.denominator * d * d)
-        scaled.append((w, [(k, v.numerator * (d // v.denominator)) for k, v in nz]))
-        L = math.lcm(L, w.denominator)
+        q = c.denominator * term.den * term.den
+        scaled.append((c.numerator, q, nz))
+        L = math.lcm(L, q)
     upper = [[0] * size for _ in range(size)]
-    for w, nz in scaled:
-        m = w.numerator * (L // w.denominator)
+    for a, q, nz in scaled:
+        m = a * (L // q)
         for a, (ki, hi) in enumerate(nz):
             row = upper[ki]
             mh = m * hi
             for kj, hj in nz[a:]:
                 row[kj] += mh * hj
+    return L, upper
+
+
+def assemble(form: AlmostDiagonalForm) -> list[list[Fraction]]:
+    """Dense symmetric matrix Diag + sum of coeff * g g^T, summed over one denominator.
+
+    The terms are summed by rank_one_triangle, and each nonzero entry of
+    its triangle becomes one Fraction over L, mirrored below the
+    diagonal. Any form takes this path: G(J) terms from from_pseudo as
+    well as decide_form's Schur complement and the pivot stages.
+    """
+    size = form.size()
+    L, upper = rank_one_triangle(form)
     zero = Fraction(0)
     rows = [[zero] * size for _ in range(size)]
     for i, row in enumerate(upper):

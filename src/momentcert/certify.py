@@ -16,9 +16,13 @@ T = I + sum_i m_i E_{i,s} and D the diagonal,
 
 and a rank-one term c u u^T maps to c (T u)(T u)^T, so a pivot resets one
 diagonal entry, maps the term vectors and appends at most one new term.
-gershgorin reads the disks of the diagonal plus the folded terms in
-closed form while no row is touched by two of them, and from assemble
-otherwise; assemble is the one place rank-one terms are summed densely.
+Term vectors are integer vectors over one denominator, and the pivot maps
+them fraction-free; the multipliers m_i, the diagonal and the disks stay
+Fractions, and no float enters. gershgorin reads the disks of the
+diagonal plus the folded terms in closed form while no row is touched by
+two of them, and otherwise from the integer triangle that assemble also
+starts from (adf.rank_one_triangle), with one Fraction per center and
+per radius.
 
 When no pivot sequence settles the question, is_psd_exact decides it by
 exact symmetric elimination on integer rows, each over its own
@@ -42,7 +46,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .adf import AlmostDiagonalForm, RankOneTerm, assemble
+from .adf import AlmostDiagonalForm, RankOneTerm, assemble, rank_one_triangle
 from .lattice import LatticeError, SubsetIndex, rat_str
 
 Matrix = list[list[Fraction]]
@@ -111,32 +115,49 @@ class GershgorinReport:
         ]
 
 
-def gershgorin(source: Union[Sequence[Sequence[Fraction]], PivotState]) -> GershgorinReport:
-    """Disk report for a symmetric matrix, or for a pivot state.
+def gershgorin(
+    source: Union[Sequence[Sequence[Fraction]], AlmostDiagonalForm, PivotState],
+) -> GershgorinReport:
+    """Disk report for a symmetric matrix, a form, or a pivot state.
 
-    Raw rows are validated symmetric first. A PivotState is symmetric by
+    Raw rows are validated symmetric first. A form is read from the
+    integer triangle of its terms (rank_one_triangle): one Fraction per
+    center and per radius, none per cell. A PivotState is symmetric by
     construction, and its disks are those of its stage, the diagonal plus
     the folded terms (the unfolded terms are left out). While no row is
-    touched by two folded terms they are read in closed form: a row that
-    the term (c, u) touches has center D_i + c u_i^2 and radius
-    |c u_i| (|u|_1 - |u_i|), and an untouched row has center D_i and
-    radius 0. Otherwise the stage is assembled and read as rows.
+    touched by two folded terms they are read in closed form from each
+    term's num over den: a row that the term (c, u) touches has center
+    D_i + c u_i^2 and radius |c u_i| (|u|_1 - |u_i|), and an untouched row
+    has center D_i and radius 0. Otherwise the stage is read as a form.
     """
+    if isinstance(source, AlmostDiagonalForm):
+        return _form_disks(source)
     if not isinstance(source, PivotState):
         return _row_disks(_check_symmetric(source))
-    nonzeros = [[(k, v) for k, v in enumerate(t.g_vec) if v] for t in source.folded]
+    nonzeros = [[(k, v) for k, v in enumerate(t.num) if v] for t in source.folded]
     touched = [k for nz in nonzeros for k, _ in nz]
     if len(touched) != len(set(touched)):
-        return _row_disks(assemble(source.stage()))
+        return _form_disks(source.stage())
     centers = source.diag[:]
     radii = [Fraction(0)] * len(centers)
     for term, nz in zip(source.folded, nonzeros):
-        l1 = sum((abs(v) for _, v in nz), Fraction(0))
+        a, b = term.coefficient.numerator, term.coefficient.denominator * term.den ** 2
+        l1 = sum(abs(v) for _, v in nz)
         for k, v in nz:
-            cu = term.coefficient * v
-            centers[k] += cu * v
-            radii[k] = abs(cu) * (l1 - abs(v))
+            centers[k] += Fraction(a * v * v, b)
+            radii[k] = Fraction(abs(a * v) * (l1 - abs(v)), b)
     return GershgorinReport(centers, radii)
+
+
+def _form_disks(form: AlmostDiagonalForm) -> GershgorinReport:
+    """Disks of a form: row i's radius is the sum of |U_ij| over row and column i of U, over L."""
+    L, upper = rank_one_triangle(form)
+    return GershgorinReport(
+        [d + Fraction(row[i], L) if row[i] else d
+         for i, (d, row) in enumerate(zip(form.diag, upper))],
+        [Fraction(sum(map(abs, row)) + sum(map(abs, col)) - 2 * abs(row[i]), L)
+         for i, (row, col) in enumerate(zip(upper, zip(*upper)))],
+    )
 
 
 def _row_disks(rows: Matrix) -> GershgorinReport:
@@ -239,35 +260,38 @@ def pivot_reduce(state: PivotState, H: SubsetIndex, S: SubsetIndex) -> PivotStat
     term over T v = v + v_s m (terms are immutable, so the input form and
     earlier snapshots keep theirs), D_ss becomes coeff * g_S^2, and a
     nonzero sigma (e_s + m)(e_s + m)^T is appended to folded. H is removed
-    by identity. The cost is one vector copy plus O(|m|) per replaced term.
+    by identity. With H's vector g / d and a term's h / e in integers,
+    m_i = -g_i / g_s, so g_s T v is g_s h - h_s g off row s and g_s h_s at
+    s, over e g_s, and e_s + m is (g_s e_s - g off row s) / g_s; both are
+    built fraction-free and brought to lowest terms, and D_ss is
+    coeff * g_s^2 / d^2. The cost is O(size) integer work per replaced term.
     Raises InvalidPivotError when H has no support at S, CertifyError when
     H was already reduced.
     """
     term = state.find_term(H)
     s = state.position(S)
-    gs = term.g_vec[s]
+    gs = term.num[s]
     if gs == 0:
         raise InvalidPivotError(f"term {H} has zero support at pivot row {S}")
-    mults = [
-        (i, -v / gs) for i, v in enumerate(term.g_vec) if i != s and v
-    ]
+    nz = [(i, v) for i, v in enumerate(term.num) if i != s and v]
+    mults = [(i, Fraction(-v, gs)) for i, v in nz]
     state.terms = [other for other in state.terms if other is not term]
     for terms in (state.folded, state.terms):
         for k, other in enumerate(terms):
-            hs = other.g_vec[s]
+            hs = other.num[s]
             if hs:
-                vec = list(other.g_vec)
-                for i, m in mults:
-                    vec[i] += m * hs
-                terms[k] = RankOneTerm(other.J, other.coefficient, vec)
+                vec = [gs * x for x in other.num]
+                for i, v in nz:
+                    vec[i] -= hs * v
+                terms[k] = RankOneTerm.scaled(other.J, other.coefficient, vec, other.den * gs)
     sigma = state.diag[s]
-    state.diag[s] = term.coefficient * gs * gs
+    state.diag[s] = term.coefficient * Fraction(gs * gs, term.den ** 2)
     if sigma:
-        u = [Fraction(0)] * len(state.diag)
-        u[s] = Fraction(1)
-        for i, m in mults:
-            u[i] = m
-        state.folded.append(RankOneTerm(S, sigma, u))
+        u = [0] * len(state.diag)
+        u[s] = gs
+        for i, v in nz:
+            u[i] = -v
+        state.folded.append(RankOneTerm.scaled(S, sigma, u, gs))
     state.trace.append(PivotStep(H, S, mults))
     state.snapshot()
     return state
@@ -331,25 +355,31 @@ def is_psd_exact(rows: Sequence[Sequence[Fraction]]) -> PsdCertificate:
 
     Row i of the Schur complement is kept as integers B_i over a positive
     denominator q_i, S_ij = B_ij / q_i, starting from the lcm of the row's
-    denominators. A negative diagonal at any point yields the witness e_r.
-    Otherwise the pivot p is the first largest S_ii, compared by
-    cross-multiplying, and with d = B_pp each row i with S_pi nonzero
-    becomes d B_i - B_ip B_p over q_i d, divided by the gcd of that
-    denominator and the row; the pivot column of every remaining row is
-    then zero, and rows off the pivot's support are never read. An
-    all-zero diagonal with a nonzero off-diagonal entry yields e_i -+ e_j
-    with the sign chosen against the offending entry. Each step records
-    its row multipliers -S_ip / S_pp = -B_pi / d as integers, and only a
-    NotPSD verdict rebuilds the witness from them, in the original
-    coordinates.
+    denominators. The input is checked square first, and symmetric on
+    those integer rows as they are built (B_ij q_j == B_ji q_i). A
+    negative diagonal at any point yields the witness e_r. Otherwise the
+    pivot p is the first largest S_ii, compared by cross-multiplying, and
+    with d = B_pp each row i with S_pi nonzero becomes d B_i - B_ip B_p
+    over q_i d, divided by the gcd of that denominator and the row; the
+    pivot column of every remaining row is then zero, and rows off the
+    pivot's support are never read. An all-zero diagonal with a nonzero
+    off-diagonal entry yields e_i -+ e_j with the sign chosen against the
+    offending entry. Each step records its row multipliers
+    -S_ip / S_pp = -B_pi / d as integers, and only a NotPSD verdict
+    rebuilds the witness from them, in the original coordinates.
     """
+    if any(len(row) != len(rows) for row in rows):
+        raise CertifyError("matrix is not square")
     B: list[list[int]] = []
     q: list[int] = []
-    for row in _check_symmetric(rows):
+    for i, row in enumerate(rows):
         ratios = [v.as_integer_ratio() for v in row]
         den = math.lcm(*(e for _, e in ratios))
         B.append([a * (den // e) for a, e in ratios])
         q.append(den)
+        for j in range(i):
+            if B[i][j] * q[j] != B[j][i] * den:
+                raise CertifyError(f"matrix is not symmetric at ({i},{j})")
     active = list(range(len(B)))
     steps: list[tuple[int, int, list[tuple[int, int]]]] = []
     while active:
@@ -503,7 +533,7 @@ def certify_recipe(
             )
             chosen = None
             for i in margins:
-                candidates = [t for t in state.terms if t.g_vec[i] != 0]
+                candidates = [t for t in state.terms if t.num[i]]
                 if candidates:
                     candidates.sort(
                         key=lambda t: (-t.coefficient, t.J.sort_key())

@@ -27,10 +27,10 @@ in an input file and 3 on the command line. decompose --instance
 decomposes the instance family's own closed-form solution at --level.
 
 certify --gershgorin-only reads the disks once and stops, for a raw
-matrix (--matrix) and for an almost-diagonal form (--adf, assembled
-first) alike: PSD when every disk passes, Inconclusive (exit 1)
-otherwise. It never pivots and never calls the oracle, so it refuses a
---schedule (exit 3), as a raw matrix does.
+matrix (--matrix) and for an almost-diagonal form (--adf, read from
+the integer triangle of its terms) alike: PSD when every disk passes,
+Inconclusive (exit 1) otherwise. It never pivots and never calls the
+oracle, so it refuses a --schedule (exit 3), as a raw matrix does.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ import traceback
 from fractions import Fraction
 from typing import Any, Callable, Sequence, TypeVar, Union
 
-from .adf import AlmostDiagonalForm, assemble, from_pseudo
+from .adf import AlmostDiagonalForm, from_pseudo
 from .certify import (
     CertifyError,
     PsdCertificate,
@@ -196,7 +196,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
         form = None
 
     if args.gershgorin_only:
-        report = gershgorin(assemble(form) if form is not None else rows)
+        report = gershgorin(form if form is not None else rows)
         cert = PsdCertificate(
             verdict="PSD" if report.all_nonnegative else "Inconclusive",
             method="gershgorin-recipe",

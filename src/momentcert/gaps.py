@@ -358,12 +358,10 @@ def _fewest_items(n: int, constraints: list[ConstraintPolynomial]) -> int:
     """Brute-force fewest items of a 0/1 point meeting every constraint."""
     if n > BRUTE_FORCE_MAX_VARS:
         raise GapError(f"brute force is limited to {BRUTE_FORCE_MAX_VARS} items")
+    # L > 0, so L * g has the sign of g at every mask
+    values = [g.scaled_values(range(1 << n))[1] for g in constraints]
     best = min(
-        (
-            mask.bit_count()
-            for mask in range(1 << n)
-            if all(g.value_at(mask) >= 0 for g in constraints)
-        ),
+        (mask.bit_count() for mask in range(1 << n) if all(v[mask] >= 0 for v in values)),
         default=None,
     )
     if best is None:

@@ -1,9 +1,11 @@
 """Rank-one sums in plain Fractions, kept beside the tests as a reference.
 
-The library sums rank-one terms densely in one place, adf.assemble, on
-integers over a common denominator. The tests check it, and the pivot
-state that certify keeps as a form, against this entry-by-entry Fraction
-sum instead, so no test compares assemble with itself.
+The library sums rank-one terms densely in one place,
+adf.rank_one_triangle, on integers over a common denominator; assemble
+and the disk reading of a form both start from it. The tests check them,
+and the pivot state that certify keeps as a form, against this
+entry-by-entry Fraction sum instead, so no test compares assemble with
+itself.
 """
 
 from fractions import Fraction

@@ -233,8 +233,15 @@ def test_quadratic_form_matches_assembled_matrix():
 def test_each_lazy_g_vec_is_g_vector_of_its_set(form):
     for term in form.terms:
         # from_pseudo hands over J and the index, and the first read builds G(J)
-        assert term.g_vec == g_vector(term.J, form.index)
-        assert term.g_vec is term.g_vec
+        assert term.num == g_vector(term.J, form.index) == term.g_vec
+        assert term.num is term.num and term.den == 1
+
+
+@pytest.mark.parametrize("bad", [0.5, True])
+def test_rank_one_term_refuses_float_and_bool_entries(bad):
+    # a rational vector is normalised once, through rat, at construction
+    with pytest.raises(LatticeError, match="not a rational"):
+        RankOneTerm(SubsetIndex(0, 3), F(1), [F(1, 2), bad, 0])
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Disks, pivot folding, the exact oracle, and the combined recipe."""
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -266,6 +267,65 @@ def test_rank_one_pivots_match_the_dense_congruence(form, fold_first, pivots, da
     cert = PsdCertificate("PSD", "gershgorin-recipe", snapshots=state.snapshots)
     first = cert.trace_matrices
     assert first == stages
+
+
+@st.composite
+def rational_term_forms(draw):
+    """Forms whose terms carry rational vectors, as decide_form's Schur complements do.
+
+    Entries have denominators above 1 and either sign, so pivots meet
+    negative g_s and vectors whose content is not 1; zero diagonal rows
+    give pivots with sigma = 0, and any negative terms can be folded first,
+    so that two folded terms share a row.
+    """
+    size = draw(st.integers(2, 6))
+    entry = st.sampled_from([0, 0, 1, -1, 2, -4, F(1, 2), F(-2, 3), F(3, 4), F(-6, 5)])
+    coeff = st.sampled_from([F(-2), F(-1, 3), F(1, 2), F(1), F(3)])
+    diag_entry = st.sampled_from([F(0), F(0), F(-1, 2), F(1), F(2, 3), F(3)])
+    vector = st.lists(entry, min_size=size, max_size=size)
+    terms = [
+        RankOneTerm(SubsetIndex(j, 3), draw(coeff), draw(vector))
+        for j in range(draw(st.integers(1, 4)))
+    ]
+    index = [SubsetIndex(k, 3) for k in range(size)]
+    diag = draw(st.lists(diag_entry, min_size=size, max_size=size))
+    return AlmostDiagonalForm(3, 1, index, diag, terms)
+
+
+def assert_integer_terms(state):
+    for term in state.folded + state.terms:
+        assert all(type(x) is int for x in term.num)
+        assert term.den > 0 and math.gcd(term.den, *term.num) == 1
+        assert term.g_vec == [F(x, term.den) for x in term.num]
+    values = [m for step in state.trace for _, m in step.multipliers] + state.diag
+    for report in (gershgorin(state), gershgorin(state.stage())):
+        values += report.centers + report.radii
+        want = gershgorin(stage(state))
+        assert (report.centers, report.radii) == (want.centers, want.radii)
+    assert all(type(v) is F for v in values)
+    assert assemble(state.stage()) == stage(state)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_term_forms(), st.booleans(), st.data())
+def test_pivot_chains_keep_terms_as_integers_over_one_denominator(form, fold_first, data):
+    state = PivotState(form)
+    if fold_first:
+        state.fold_negative_terms()
+    assert_integer_terms(state)
+    size = form.size()
+    for _ in range(4):
+        candidates = [(t.J, i) for t in state.terms for i, v in enumerate(t.num) if v]
+        if not candidates:
+            break
+        J, s = data.draw(st.sampled_from(candidates))
+        before = stage(state, remaining=True)
+        pivot_reduce(state, J, state.index[s])
+        T = [[F(int(i == j)) for j in range(size)] for i in range(size)]
+        for i, m in state.trace[-1].multipliers:
+            T[i][s] = m
+        assert stage(state, remaining=True) == matmul(matmul(T, before), [list(c) for c in zip(*T)])
+        assert_integer_terms(state)
 
 
 # ---------------------------------------------------------------------------

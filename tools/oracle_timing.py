@@ -67,6 +67,16 @@ the verdict is "PSD" when both commands exit 0, and the seconds column
 is the median of 3 runs of the pair. The line ends with the number of
 g_vector calls in one further run of the pair, counted by a wrapper on
 momentcert.adf.g_vector.
+
+The mkp-recipe line times the rank-one layer alone: the pivot_reduce
+calls and the gershgorin(state) readings of the greedy certify_recipe on
+the demand-1 form of gap mkp with 4 blocks of 3 items, eps = 1/16 and
+T = 3 at level 1, as verify_mkp runs it. The size is the form's, the bits
+column is "-", the verdict is the certificate's, and the seconds column
+is the median over 3 runs of the summed time inside those two functions
+(the oracle fallback is not counted). The line ends with deterministic
+counters of one run: the pivots, the readings, and the folded terms summed
+over the readings.
 """
 
 from __future__ import annotations
@@ -92,6 +102,7 @@ from momentcert.adf import AlmostDiagonalForm, assemble, from_pseudo  # noqa: E4
 from momentcert.certify import certify_recipe, decide_form, is_psd_exact  # noqa: E402
 from momentcert.gaps import (  # noqa: E402
     build_knapsack,
+    build_mkp,
     build_schedule,
     knapsack_constraint,
     schedule_solution,
@@ -252,6 +263,37 @@ def adf_measure_row(n: int) -> str:
             f"{statistics.median(times):>9.4f}  g_vector={len(calls)}")
 
 
+def mkp_recipe_row() -> str:
+    instance = build_mkp(4, 3, Fraction(1, 16), 3)
+    form = from_pseudo(constraint_diagonal(instance.demand_constraint(1), instance.solution(1)), 1)
+    pivot, disks = certify.pivot_reduce, certify.gershgorin
+    counts: dict[str, float] = {}
+
+    def spent(f, key):
+        def wrapped(*args):
+            start = time.perf_counter()
+            out = f(*args)
+            counts["s"] += time.perf_counter() - start
+            counts[key] += 1
+            if key == "readings":
+                counts["folded"] += len(args[0].folded)
+            return out
+        return wrapped
+
+    times = []
+    certify.pivot_reduce, certify.gershgorin = spent(pivot, "pivots"), spent(disks, "readings")
+    try:
+        for _ in range(3):
+            counts.update(s=0.0, pivots=0, readings=0, folded=0)
+            verdict = certify_recipe(form).verdict
+            times.append(counts["s"])
+    finally:
+        certify.pivot_reduce, certify.gershgorin = pivot, disks
+    return (f"{'mkp-recipe 4x3 demand-1':<28} {form.size():>5} {'-':>5} {verdict:>7} "
+            f"{statistics.median(times):>9.4f}  pivots={counts['pivots']} "
+            f"readings={counts['readings']} folded={counts['folded']}")
+
+
 def schedule_covering_row(P: int) -> str:
     instance = build_schedule(4, 2, P)
     zp = constraint_diagonal(instance.covering_constraint(4), schedule_solution(instance))
@@ -277,6 +319,7 @@ def main() -> int:
     for n in (8, 9):
         print(adf_json_row(n), flush=True)
     print(adf_measure_row(9), flush=True)
+    print(mkp_recipe_row(), flush=True)
     for P in (13, 14):
         print(schedule_covering_row(P), flush=True)
     print(transform_row("transform-pair schedule n=4",
