@@ -136,10 +136,6 @@ class RankOneTerm:
     def g_vec(self) -> list[Fraction]:
         return [Fraction(x, self.den) for x in self.num]
 
-    @property
-    def tag(self) -> str:
-        return "PD" if self.coefficient > 0 else "ND"
-
 
 class AlmostDiagonalForm:
     """Diagonal plus signed rank-one terms, congruent to a moment matrix."""

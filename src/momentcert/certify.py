@@ -17,12 +17,12 @@ T = I + sum_i m_i E_{i,s} and D the diagonal,
 and a rank-one term c u u^T maps to c (T u)(T u)^T, so a pivot resets one
 diagonal entry, maps the term vectors and appends at most one new term.
 Term vectors are integer vectors over one denominator, and the pivot maps
-them fraction-free; the multipliers m_i, the diagonal and the disks stay
-Fractions, and no float enters. gershgorin reads the disks of the
-diagonal plus the folded terms in closed form while no row is touched by
-two of them, and otherwise from the integer triangle that assemble also
-starts from (adf.rank_one_triangle), with one Fraction per center and
-per radius.
+them fraction-free; the diagonal and the disks stay Fractions, and no
+float enters. gershgorin reads the disks of a form, and of a pivot
+state's stage (the diagonal plus the folded terms) through the same
+reader: in closed form while no row is touched by two terms, and
+otherwise from the integer triangle that assemble also starts from
+(adf.rank_one_triangle), with one Fraction per center and per radius.
 
 When no pivot sequence settles the question, is_psd_exact decides it by
 exact symmetric elimination on integer rows, each over its own
@@ -44,6 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence, Union
 
 from .adf import AlmostDiagonalForm, RankOneTerm, assemble, rank_one_triangle
@@ -100,11 +101,14 @@ class GershgorinReport:
     def all_nonnegative(self) -> bool:
         return all(c >= r for c, r in zip(self.centers, self.radii))
 
+    @cached_property
+    def margins(self) -> list[Fraction]:
+        """Each row's center minus radius, computed on first read."""
+        return [c - r for c, r in zip(self.centers, self.radii)]
+
     def margin(self) -> Fraction:
         """Smallest center minus radius; nonnegative means every disk passes."""
-        if not self.centers:
-            return Fraction(0)
-        return min(c - r for c, r in zip(self.centers, self.radii))
+        return min(self.margins, default=Fraction(0))
 
     def rows_json(self, labels: Union[Sequence[str], None] = None) -> list[dict]:
         if labels is None:
@@ -120,37 +124,47 @@ def gershgorin(
 ) -> GershgorinReport:
     """Disk report for a symmetric matrix, a form, or a pivot state.
 
-    Raw rows are validated symmetric first. A form is read from the
-    integer triangle of its terms (rank_one_triangle): one Fraction per
-    center and per radius, none per cell. A PivotState is symmetric by
+    Raw rows are validated symmetric first. A PivotState is symmetric by
     construction, and its disks are those of its stage, the diagonal plus
-    the folded terms (the unfolded terms are left out). While no row is
-    touched by two folded terms they are read in closed form from each
-    term's num over den: a row that the term (c, u) touches has center
-    D_i + c u_i^2 and radius |c u_i| (|u|_1 - |u_i|), and an untouched row
-    has center D_i and radius 0. Otherwise the stage is read as a form.
+    the folded terms (the unfolded terms are left out), read as a form.
     """
+    if isinstance(source, PivotState):
+        source = source.stage()
     if isinstance(source, AlmostDiagonalForm):
         return _form_disks(source)
-    if not isinstance(source, PivotState):
-        return _row_disks(_check_symmetric(source))
-    nonzeros = [[(k, v) for k, v in enumerate(t.num) if v] for t in source.folded]
-    touched = [k for nz in nonzeros for k, _ in nz]
-    if len(touched) != len(set(touched)):
-        return _form_disks(source.stage())
-    centers = source.diag[:]
-    radii = [Fraction(0)] * len(centers)
-    for term, nz in zip(source.folded, nonzeros):
-        a, b = term.coefficient.numerator, term.coefficient.denominator * term.den ** 2
-        l1 = sum(abs(v) for _, v in nz)
-        for k, v in nz:
-            centers[k] += Fraction(a * v * v, b)
-            radii[k] = Fraction(abs(a * v) * (l1 - abs(v)), b)
-    return GershgorinReport(centers, radii)
+    return _row_disks(_check_symmetric(source))
 
 
 def _form_disks(form: AlmostDiagonalForm) -> GershgorinReport:
-    """Disks of a form: row i's radius is the sum of |U_ij| over row and column i of U, over L."""
+    """Disks of a form, none of its cells built.
+
+    While no row is touched by two terms they are read in closed form
+    from each term's num over den: a row that the term (c, u) touches has
+    center D_i + c u_i^2 and radius |c u_i| (|u|_1 - |u_i|), and an
+    untouched row has center D_i and radius 0. Otherwise they are read
+    from the integer triangle U over L of the terms (rank_one_triangle):
+    row i's center is D_i + U_ii / L and its radius the sum of |U_ij| over
+    row and column i of U, over L. Either way one Fraction per center and
+    per radius.
+    """
+    nonzeros: list[list[tuple[int, int]]] = []
+    touched: set[int] = set()
+    for term in form.terms:
+        nz = [(k, v) for k, v in enumerate(term.num) if v]
+        if not touched.isdisjoint(k for k, _ in nz):
+            break
+        touched.update(k for k, _ in nz)
+        nonzeros.append(nz)
+    else:  # no row is touched by two terms
+        centers = list(form.diag)
+        radii = [Fraction(0)] * len(centers)
+        for term, nz in zip(form.terms, nonzeros):
+            a, b = term.coefficient.numerator, term.coefficient.denominator * term.den ** 2
+            l1 = sum(abs(v) for _, v in nz)
+            for k, v in nz:
+                centers[k] += Fraction(a * v * v, b)
+                radii[k] = Fraction(abs(a * v) * (l1 - abs(v)), b)
+        return GershgorinReport(centers, radii)
     L, upper = rank_one_triangle(form)
     return GershgorinReport(
         [d + Fraction(row[i], L) if row[i] else d
@@ -180,7 +194,6 @@ class PivotStep:
 
     term: SubsetIndex
     pivot: SubsetIndex
-    multipliers: list[tuple[int, Fraction]]
 
     def to_json_dict(self) -> dict:
         return {"H": str(self.term), "S": str(self.pivot)}
@@ -274,7 +287,6 @@ def pivot_reduce(state: PivotState, H: SubsetIndex, S: SubsetIndex) -> PivotStat
     if gs == 0:
         raise InvalidPivotError(f"term {H} has zero support at pivot row {S}")
     nz = [(i, v) for i, v in enumerate(term.num) if i != s and v]
-    mults = [(i, Fraction(-v, gs)) for i, v in nz]
     state.terms = [other for other in state.terms if other is not term]
     for terms in (state.folded, state.terms):
         for k, other in enumerate(terms):
@@ -292,7 +304,7 @@ def pivot_reduce(state: PivotState, H: SubsetIndex, S: SubsetIndex) -> PivotStat
         for i, v in nz:
             u[i] = -v
         state.folded.append(RankOneTerm.scaled(S, sigma, u, gs))
-    state.trace.append(PivotStep(H, S, mults))
+    state.trace.append(PivotStep(H, S))
     state.snapshot()
     return state
 
@@ -524,15 +536,12 @@ def certify_recipe(
         best = disks.margin()
         stalled = 0
         while not _disks_conclusion(state, disks) and state.terms and stalled < 2:
-            margins = sorted(
+            order = sorted(
                 range(len(state.index)),
-                key=lambda i: (
-                    disks.centers[i] - disks.radii[i],
-                    state.index[i].sort_key(),
-                ),
+                key=lambda i: (disks.margins[i], state.index[i].sort_key()),
             )
             chosen = None
-            for i in margins:
+            for i in order:
                 candidates = [t for t in state.terms if t.num[i]]
                 if candidates:
                     candidates.sort(

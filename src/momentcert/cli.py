@@ -19,6 +19,11 @@ Exit codes partition the outcomes:
     5  internal error; the traceback goes to stderr
 
 main() alone maps errors to these codes; the commands catch nothing.
+Each cmd_* only decides: it returns the artifact payload, the run
+report's parameters and verdicts, and the exit code, and writes and
+prints nothing. main alone writes the artifact to --out and then prints
+the run report, each from one place, so a command that raises leaves
+neither.
 
 Rationals, in input files and on the command line alike, are written
 as an optional sign, ASCII digits and an optional "/digits": "3",
@@ -27,8 +32,8 @@ in an input file and 3 on the command line. decompose --instance
 decomposes the instance family's own closed-form solution at --level.
 
 certify --gershgorin-only reads the disks once and stops, for a raw
-matrix (--matrix) and for an almost-diagonal form (--adf, read from
-the integer triangle of its terms) alike: PSD when every disk passes,
+matrix (--matrix) and for an almost-diagonal form (--adf, read by the
+same form reader as a pivot stage) alike: PSD when every disk passes,
 Inconclusive (exit 1) otherwise. It never pivots and never calls the
 oracle, so it refuses a --schedule (exit 3), as a raw matrix does.
 """
@@ -83,6 +88,8 @@ EXIT_ORACLE_DECIDED = 4
 EXIT_INTERNAL = 5
 
 T = TypeVar("T")
+# What a command decided: (artifact payload, parameters, verdicts, exit code).
+Outcome = tuple[dict, dict, dict, int]
 
 
 class InputError(Exception):
@@ -92,24 +99,6 @@ class InputError(Exception):
 def _write_json(path: str, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2) + "\n")
-
-
-def _run_report(
-    command: str,
-    parameters: dict,
-    started: float,
-    outputs: Sequence[str],
-    verdicts: dict,
-) -> None:
-    report = {
-        "command": command,
-        "parameters": parameters,
-        "wall_seconds": round(time.monotonic() - started, 3),
-        "outputs": list(outputs),
-        "verdicts": verdicts,
-    }
-    json.dump(report, sys.stdout, sort_keys=True, ensure_ascii=False)
-    sys.stdout.write("\n")
 
 
 def _load(path: str, parse: Callable[[Any], T]) -> T:
@@ -151,8 +140,7 @@ def _parse_schedule(data: list, n: int) -> list[tuple[SubsetIndex, SubsetIndex]]
 # ---------------------------------------------------------------------------
 
 
-def cmd_decompose(args: argparse.Namespace) -> int:
-    started = time.monotonic()
+def cmd_decompose(args: argparse.Namespace) -> Outcome:
     if args.input is not None:
         w = _load(args.input, _parse_moments)
         # Refuse an oversized P_t before the 2^n transform runs.
@@ -162,15 +150,12 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         instance = _load(args.instance, instance_from_json)
         p = instance.solution(args.level)
     form = from_pseudo(p, args.level)
-    _write_json(args.out, form.to_json_dict())
-    _run_report(
-        "decompose",
+    return (
+        form.to_json_dict(),
         {"level": args.level, "n": p.n},
-        started,
-        [args.out],
         {"terms": len(form.terms), "size": form.size()},
+        EXIT_OK,
     )
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -184,8 +169,7 @@ def _certificate_exit(cert: PsdCertificate) -> int:
     return EXIT_NEGATIVE
 
 
-def cmd_certify(args: argparse.Namespace) -> int:
-    started = time.monotonic()
+def cmd_certify(args: argparse.Namespace) -> Outcome:
     if args.schedule is not None and (args.gershgorin_only or args.adf is None):
         raise CertifyError("a pivot schedule needs --adf input and no --gershgorin-only")
     if args.adf is not None:
@@ -210,18 +194,15 @@ def cmd_certify(args: argparse.Namespace) -> int:
     else:
         cert = certify_matrix(rows)
 
-    _write_json(args.out, cert.to_json_dict(include_trace=args.trace))
-    _run_report(
-        "certify",
+    return (
+        cert.to_json_dict(include_trace=args.trace),
         {
             "input": args.adf or args.matrix,
             "gershgorin_only": bool(args.gershgorin_only),
         },
-        started,
-        [args.out],
         {"verdict": cert.verdict, "method": cert.method},
+        _certificate_exit(cert),
     )
-    return _certificate_exit(cert)
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +210,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_gap(args: argparse.Namespace) -> int:
-    started = time.monotonic()
+def cmd_gap(args: argparse.Namespace) -> Outcome:
     if args.family == "knapsack":
         k = rat(args.k)
         P = k * (1 << (2 * args.n + 1))
@@ -248,19 +228,16 @@ def cmd_gap(args: argparse.Namespace) -> int:
         report = verify_schedule(build_schedule(args.n, k, P))
         ok = report.feasible and report.gap >= k
 
-    _write_json(args.out, report.to_json_dict(include_trace=args.trace))
-    _run_report(
-        "gap",
+    return (
+        report.to_json_dict(include_trace=args.trace),
         {"family": args.family},
-        started,
-        [args.out],
         {
             "feasible": report.feasible,
             "gap": rat_str(report.gap),
             "objective": rat_str(report.objective),
         },
+        EXIT_OK if ok else EXIT_NEGATIVE,
     )
-    return EXIT_OK if ok else EXIT_NEGATIVE
 
 
 # ---------------------------------------------------------------------------
@@ -268,18 +245,14 @@ def cmd_gap(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_replay(args: argparse.Namespace) -> int:
-    started = time.monotonic()
+def cmd_replay(args: argparse.Namespace) -> Outcome:
     result = replay_demand_reduction(args.eps)
-    _write_json(args.out, result.to_json_dict())
-    _run_report(
-        "replay",
+    return (
+        result.to_json_dict(),
         {"eps": rat_str(result.eps)},
-        started,
-        [args.out],
         {"matches": result.matches, "verdict": result.certificate.verdict},
+        EXIT_OK if result.matches else EXIT_NEGATIVE,
     )
-    return EXIT_OK if result.matches else EXIT_NEGATIVE
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +339,19 @@ _PARSER = build_parser()
 
 def main(argv: Union[Sequence[str], None] = None) -> int:
     args = _PARSER.parse_args(argv)
+    started = time.monotonic()
     try:
-        return globals()[f"cmd_{args.command}"](args)
+        payload, parameters, verdicts, code = globals()[f"cmd_{args.command}"](args)
+        _write_json(args.out, payload)
+        report = {
+            "command": args.command,
+            "parameters": parameters,
+            "wall_seconds": round(time.monotonic() - started, 3),
+            "outputs": [args.out],
+            "verdicts": verdicts,
+        }
+        print(json.dumps(report, sort_keys=True, ensure_ascii=False))
+        return code
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

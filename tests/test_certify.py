@@ -68,6 +68,19 @@ def stage(state, remaining=False):
     return dense(state.diag, state.folded + (state.terms if remaining else []))
 
 
+def pivot_congruence(g, s):
+    """T = I + sum of m_i E_{i,s} over i != s, with m_i = -g_i / g_s.
+
+    g is the pivoted term's vector, read before the pivot, so the tests
+    build T themselves rather than from anything pivot_reduce records.
+    """
+    T = [[F(int(i == j)) for j in range(len(g))] for i in range(len(g))]
+    for i, gi in enumerate(g):
+        if i != s:
+            T[i][s] = -gi / g[s]
+    return T
+
+
 def random_form(n, t, rng):
     values = {
         m: F(rng.randint(-6, 6), rng.randint(1, 3)) for m in range(1 << n)
@@ -140,8 +153,8 @@ def test_pivot_on_unknown_term_fails():
 
 def test_pivots_are_congruences():
     # each pivot multiplies the assembled state by T = I + sum m_i E_{i,s}
-    # on the left and T^T on the right; replaying the recorded multipliers
-    # must reproduce the state exactly, term vectors included.
+    # on the left and T^T on the right; T built from the pivoted term's
+    # vector must reproduce the state exactly, term vectors included.
     rng = random.Random(41)
     for trial in range(8):
         form = random_form(3, 1, rng)
@@ -156,16 +169,10 @@ def test_pivots_are_congruences():
         if not candidates:
             continue
         H, S = candidates[rng.randrange(len(candidates))]
-        pivot_reduce(state, H, S)
-        step = state.trace[-1]
         size = len(state.index)
         s = state.position(S)
-        T = [
-            [F(1) if i == j else F(0) for j in range(size)]
-            for i in range(size)
-        ]
-        for i, m in step.multipliers:
-            T[i][s] = m
+        T = pivot_congruence(state.find_term(H).g_vec, s)
+        pivot_reduce(state, H, S)
         expected = [
             [
                 sum(
@@ -228,7 +235,6 @@ def assert_disks_match(state):
 @given(mixed_sign_forms(), st.booleans(), st.integers(0, 4), st.data())
 def test_rank_one_pivots_match_the_dense_congruence(form, fold_first, pivots, data):
     state = PivotState(form)
-    size = form.size()
 
     def fold():
         expected = stage(state)
@@ -252,10 +258,8 @@ def test_rank_one_pivots_match_the_dense_congruence(form, fold_first, pivots, da
         J, s = data.draw(st.sampled_from(candidates))
         term = state.find_term(J)
         c, gs, before = term.coefficient, term.g_vec[s], stage(state)
+        T = pivot_congruence(term.g_vec, s)
         pivot_reduce(state, J, state.index[s])
-        T = [[F(int(i == j)) for j in range(size)] for i in range(size)]
-        for i, m in state.trace[-1].multipliers:
-            T[i][s] = m
         expected = matmul(matmul(T, before), [list(col) for col in zip(*T)])
         expected[s][s] += c * gs * gs
         assert stage(state) == expected
@@ -297,7 +301,7 @@ def assert_integer_terms(state):
         assert all(type(x) is int for x in term.num)
         assert term.den > 0 and math.gcd(term.den, *term.num) == 1
         assert term.g_vec == [F(x, term.den) for x in term.num]
-    values = [m for step in state.trace for _, m in step.multipliers] + state.diag
+    values = list(state.diag)
     for report in (gershgorin(state), gershgorin(state.stage())):
         values += report.centers + report.radii
         want = gershgorin(stage(state))
@@ -313,17 +317,14 @@ def test_pivot_chains_keep_terms_as_integers_over_one_denominator(form, fold_fir
     if fold_first:
         state.fold_negative_terms()
     assert_integer_terms(state)
-    size = form.size()
     for _ in range(4):
         candidates = [(t.J, i) for t in state.terms for i, v in enumerate(t.num) if v]
         if not candidates:
             break
         J, s = data.draw(st.sampled_from(candidates))
         before = stage(state, remaining=True)
+        T = pivot_congruence(state.find_term(J).g_vec, s)
         pivot_reduce(state, J, state.index[s])
-        T = [[F(int(i == j)) for j in range(size)] for i in range(size)]
-        for i, m in state.trace[-1].multipliers:
-            T[i][s] = m
         assert stage(state, remaining=True) == matmul(matmul(T, before), [list(c) for c in zip(*T)])
         assert_integer_terms(state)
 

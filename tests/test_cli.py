@@ -529,6 +529,7 @@ def test_unwritable_output_exits_2(tmp_path, capsys):
     ]
     for argv in commands:
         assert main(argv) == 2
+        assert capsys.readouterr().out == ""
 
 
 def test_internal_error_exits_5_with_a_traceback(monkeypatch, tmp_path, capsys):
@@ -562,6 +563,59 @@ def test_module_entry_point_exits_2_on_a_missing_input(tmp_path):
     )
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# run lifecycle: main writes the artifact and prints the run report
+# ---------------------------------------------------------------------------
+
+
+def test_each_command_prints_one_run_report_for_its_artifact(tmp_path, capsys):
+    moments = write(tmp_path / "y.json", INDEFINITE_MOMENTS)
+    matrix = write(tmp_path / "m.json", STRATEGY_MATRIX)
+    cases = [
+        (["decompose", "--input", moments, "--level", "1"], 0,
+         {"level": 1, "n": 2}, {"size": 3, "terms": 1}),
+        (["certify", "--matrix", matrix], 4,
+         {"gershgorin_only": False, "input": matrix},
+         {"method": "exact-factorization", "verdict": "PSD"}),
+        (["gap", "mkp", "--eps", "1/16", "--T", "2"], 0,
+         {"family": "mkp"}, {"feasible": True, "gap": "3/2", "objective": "18/11"}),
+        (["replay", "--eps", "1/16"], 0,
+         {"eps": "1/16"}, {"matches": True, "verdict": "PSD"}),
+    ]
+    for argv, code, parameters, verdicts in cases:
+        out = tmp_path / f"{argv[0]}.json"
+        assert main(argv + ["--out", str(out)]) == code
+        stdout = capsys.readouterr().out
+        assert stdout.endswith("\n") and stdout.count("\n") == 1
+        report = json.loads(stdout)
+        assert set(report) == {"command", "parameters", "wall_seconds", "outputs", "verdicts"}
+        assert report["command"] == argv[0]
+        assert report["outputs"] == [str(out)]
+        assert report["parameters"] == parameters
+        assert report["verdicts"] == verdicts
+        assert isinstance(read(out), dict)
+
+
+def test_failed_runs_print_no_report_and_leave_no_artifact(monkeypatch, tmp_path, capsys):
+    def crash(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_replay", crash)
+    garbage = tmp_path / "garbage.json"
+    garbage.write_text("{not json", encoding="utf-8")
+    moments = write(tmp_path / "y.json", INDEFINITE_MOMENTS)
+    cases = [
+        (["certify", "--matrix", str(garbage)], 2),
+        (["decompose", "--input", moments, "--level", "5"], 3),
+        (["replay"], 5),
+    ]
+    for argv, code in cases:
+        out = tmp_path / "out.json"
+        assert main(argv + ["--out", str(out)]) == code
+        assert capsys.readouterr().out == ""
+        assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
