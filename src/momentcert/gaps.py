@@ -16,9 +16,11 @@ the cheap fractional solution therefore pins down an integrality gap.
 * schedule: n^2 jobs in n groups with geometrically weighted covering
   constraints. The uniform low-cardinality solution is feasible once
   the weight base P is large enough, against an integral cost of n.
-  Its covering matrices are built by moment_matrix from the sparse
-  pseudo-probabilities of each shifted solution, without a dense pass
-  over the 2^(n^2) job subsets, and are decided by the exact oracle.
+  Each prefix covering matrix is invariant under the symmetric groups of
+  its job orbits (the groups it weighs, and the remaining jobs), so it
+  is decided by its orbit blocks (orbits.decide_orbits), each block by
+  the exact oracle; the dense matrix over P_(n/k - 1) is never built. A
+  NotPSD block's witness is lifted back to the dense rows.
 
 The lifted variant of the knapsack constraint (one always-picked extra
 item, demand 1 + 1/P) is certified by lifting the reduced solution with
@@ -30,8 +32,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
-from typing import Iterator, Union
+from math import comb
+from typing import Callable, Iterator, Union
 
 from .adf import AlmostDiagonalForm, RankOneTerm, decompose, from_pseudo
 from .certify import (
@@ -40,7 +44,6 @@ from .certify import (
     certify_recipe,
     decide_form,
     gershgorin,
-    is_psd_exact,
     pivot_reduce,
 )
 from .lattice import (
@@ -60,7 +63,7 @@ from .lattice import (
     rat_str,
     to_pseudo_probabilities,
 )
-from .moments import constraint_diagonal, moment_matrix
+from .moments import constraint_diagonal
 
 # Largest ground set the brute-force integral optima will enumerate.
 BRUTE_FORCE_MAX_VARS = 20
@@ -613,17 +616,64 @@ def schedule_solution(instance: ScheduleInstance) -> LatticeVector:
     return uniform_low_cardinality(instance.jobs, instance.level_cap)
 
 
-def _covering_certificates(
-    instance: ScheduleInstance, p: LatticeVector
-) -> Iterator[PsdCertificate]:
-    """Oracle certificates of the prefix covering matrices, level 1 up.
+@lru_cache(maxsize=None)
+def _sets_above(jobs: int, cap: int) -> tuple[int, ...]:
+    """How many sets of P_cap contain a fixed set of s jobs, for s <= 2 * cap.
+
+    Over |P_cap| it is Y(s), the uniform solution's moment at any s-set;
+    it depends on neither the weight base nor the covering level.
+    """
+    return tuple(
+        sum(comb(jobs - s, j) for j in range(cap - s + 1)) for s in range(2 * cap + 1)
+    )
+
+
+def _covering_orbits(
+    instance: ScheduleInstance, level: int
+) -> tuple[list[tuple[int, ...]], Callable[[tuple[int, ...]], int]]:
+    """The orbits of covering-level and its moments, scaled to integers.
+
+    Covering-l is the moment matrix at level cap - 1 of the uniform
+    solution shifted by covering_constraint(l), sum_j w_j x_j - D over the
+    jobs of groups j <= l. Its orbits are those l groups and the jobs of
+    the later groups (weight 0), and its moment at a set with per-orbit
+    counts c is Y(s) (W - D) + Y(s+1) (sum_j w_j n - W), with s = sum(c)
+    and W = sum_j w_j c_j. With P = a/b the moments are taken times
+    |P_cap| a^l, a positive factor that makes them integers: Y becomes
+    _sets_above, w_j becomes a^j b^(l-j) and D becomes
+    sum_j a^(j-1) b^(l-j+1).
+    """
+    n, a, b = instance.n, instance.P.numerator, instance.P.denominator
+    Y = _sets_above(instance.jobs, instance.level_cap)
+    weights = [a**j * b ** (level - j) for j in range(1, level + 1)] + [0]
+    demand = sum(a ** (j - 1) * b ** (level - j + 1) for j in range(1, level + 1))
+    full = n * sum(weights)
+    orbits = [instance.group_members(j) for j in range(1, level + 1)]
+    orbits.append(tuple(range(level * n + 1, instance.jobs + 1)))
+    if not orbits[-1]:
+        orbits.pop()
+
+    def moment(c: tuple[int, ...]) -> int:
+        s = sum(c)
+        W = sum(w * cj for w, cj in zip(weights, c))
+        return Y[s] * (W - demand) + Y[s + 1] * (full - W)
+
+    return orbits, moment
+
+
+def _covering_certificates(instance: ScheduleInstance) -> Iterator[PsdCertificate]:
+    """Orbit-block certificates of the prefix covering matrices, level 1 up.
 
     A generator, so a caller that stops at the first non-PSD verdict
     decides no further matrices.
     """
+    # Imported on first use: only this family needs it, and without a
+    # bytecode cache every fresh import of the package would compile it.
+    from .orbits import decide_orbits
+
     for level in range(1, instance.n + 1):
-        zp = constraint_diagonal(instance.covering_constraint(level), p)
-        yield is_psd_exact(moment_matrix(zp, instance.level_cap - 1))
+        orbits, moment = _covering_orbits(instance, level)
+        yield decide_orbits(orbits, instance.jobs, instance.level_cap - 1, moment)
 
 
 def verify_schedule(instance: ScheduleInstance) -> GapReport:
@@ -632,8 +682,8 @@ def verify_schedule(instance: ScheduleInstance) -> GapReport:
     The moment matrix at the cap level decomposes to a plain nonnegative
     diagonal (no rank-one terms survive, since no pseudo-probability
     lives above the cap), and the cardinality matrix is a nonnegative
-    diagonal for every P. Each prefix covering matrix is decided by the
-    exact oracle. Feasibility is the conjunction; the gap is the
+    diagonal for every P. Each prefix covering matrix is decided by its
+    orbit blocks. Feasibility is the conjunction; the gap is the
     integral cost n over the cap n/k, which is k.
     """
     p = schedule_solution(instance)
@@ -648,7 +698,7 @@ def verify_schedule(instance: ScheduleInstance) -> GapReport:
     )
     cardinality_cert = certify_recipe(cardinality_form)
     certificates.append(("cardinality", cardinality_cert))
-    for level, cert in enumerate(_covering_certificates(instance, p), start=1):
+    for level, cert in enumerate(_covering_certificates(instance), start=1):
         certificates.append((f"covering-{level}", cert))
 
     objective = relaxation_objective(p)
@@ -671,8 +721,7 @@ def find_min_feasible_P(n: int, k: RationalLike) -> int:
     """
 
     def coverings_psd(P: int) -> bool:
-        instance = build_schedule(n, k, P)
-        certs = _covering_certificates(instance, schedule_solution(instance))
+        certs = _covering_certificates(build_schedule(n, k, P))
         return all(cert.verdict == "PSD" for cert in certs)
 
     hi = 2
@@ -724,7 +773,11 @@ def schedule_integral_optimum(instance: ScheduleInstance) -> int:
 # instance plumbing
 # ---------------------------------------------------------------------------
 
-Instance = Union[KnapsackGapInstance, MkpInstance, ScheduleInstance]
+# Quoted, so that typing's cache of this Union holds names, not classes.
+# Holding the classes, it kept each earlier import of this module, and the
+# modules it imports, alive after a fresh import of the package
+# (perfbench/run.py imports it afresh for each set-up).
+Instance = Union["KnapsackGapInstance", "MkpInstance", "ScheduleInstance"]
 
 
 def instance_to_json(instance: Instance) -> dict:

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -498,6 +499,28 @@ def test_gap_schedule_find_min_p(tmp_path, capsys):
     )
     assert code == 0
     assert read(out)["instance"]["params"]["P"] == "14"
+
+
+def test_gap_schedule_find_min_p_certifies_level_3_at_k_1(tmp_path):
+    # n = 4, k = 1 certifies level 3; its coverings have 697 dense rows, and
+    # the search decides them by orbit blocks in a fresh process.
+    src_dir = os.path.dirname(os.path.dirname(momentcert.__file__))
+    out = tmp_path / "report.json"
+    argv = ["gap", "schedule", "--n", "4", "--k", "1", "--find-min-p", "--out", str(out)]
+    started = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "momentcert", *argv],
+        env=dict(os.environ, PYTHONPATH=src_dir),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    elapsed = time.monotonic() - started
+    assert proc.returncode == 0, proc.stderr
+    data = read(out)
+    assert data["instance"]["params"]["P"] == "326"
+    assert data["level"] == 3 and data["feasible"] is True
+    assert elapsed < 60
 
 
 # ---------------------------------------------------------------------------

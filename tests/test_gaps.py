@@ -1,6 +1,9 @@
 """Gap instance families: knapsack, block demands, scheduling."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -39,6 +42,7 @@ from momentcert import (
     verify_mkp,
     verify_schedule,
 )
+from schedule_ref import covering_certificates
 
 # ---------------------------------------------------------------------------
 # knapsack: closed-form solution
@@ -371,6 +375,15 @@ def test_find_min_feasible_base_golden():
     assert find_min_feasible_P(4, 2) == 14
 
 
+@pytest.mark.parametrize("n, k, pstar", [(2, 1, 6), (3, 1, 31), (4, 4, 5)])
+def test_find_min_feasible_base_goldens_agree_with_the_dense_decider(n, k, pstar):
+    assert find_min_feasible_P(n, k) == pstar
+    # The dense decider finds a NotPSD covering one below the golden, none at it.
+    below = [c.verdict for c in covering_certificates(build_schedule(n, k, pstar - 1))]
+    at = [c.verdict for c in covering_certificates(build_schedule(n, k, pstar))]
+    assert "NotPSD" in below and set(at) == {"PSD"}
+
+
 def test_schedule_integral_optimum_takes_one_job_per_group():
     assert schedule_integral_optimum(build_schedule(4, 2, 3)) == 4
     assert schedule_integral_optimum(build_schedule(3, 1, 2)) == 3
@@ -379,6 +392,26 @@ def test_schedule_integral_optimum_takes_one_job_per_group():
 # ---------------------------------------------------------------------------
 # instance plumbing
 # ---------------------------------------------------------------------------
+
+
+def test_a_fresh_import_leaves_the_earlier_instance_classes_collectable():
+    # Run in a child process: re-importing the package here would give the
+    # other tests' imported names a second generation of classes.
+    script = """
+import gc, sys, weakref
+import momentcert
+old = weakref.ref(momentcert.gaps.ScheduleInstance)
+for name in [n for n in sys.modules if n == "momentcert" or n.startswith("momentcert.")]:
+    del sys.modules[name]
+import momentcert
+gc.collect()
+sys.exit(0 if old() is None else 1)
+"""
+    src_dir = os.path.dirname(os.path.dirname(momentcert.certify.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src_dir), timeout=60
+    )
+    assert proc.returncode == 0
 
 
 def test_instance_json_roundtrip():

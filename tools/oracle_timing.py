@@ -1,4 +1,4 @@
-"""Wall time of the oracle, decide_form, the pivot recipe, assemble and the lattice transforms.
+"""Wall time of the oracle, decide_form, the pivot recipe, assemble, the orbit blocks and the lattice transforms.
 
     python3 tools/oracle_timing.py
 
@@ -24,11 +24,18 @@ term into the empty-set row and the disk pass that settles it, as
 verify_knapsack_level runs it; its size and bits are those of the
 assembled covering form.
 
-Two schedule covering lines, for n = 4, k = 2 at P = 13 and at P = 14
-(the smallest feasible base), time moment_matrix on the sparse
-pseudo-probabilities of the level-4 covering plus is_psd_exact on its
-rows, as verify_schedule runs them; size and bits are those rows'. The
-level-4 covering is PSD at both bases; at P = 13 covering-1 fails.
+Five schedule covering lines time the orbit-block decider,
+orbits.decide_orbits, on one prefix covering as verify_schedule runs it
+(its orbits and integer moments from gaps._covering_orbits): covering-4
+for n = 4, k = 2 at P = 13 and at P = 14 (the smallest feasible base),
+covering-4 for n = 4, k = 1 at P = 325 and at P = 326 (the smallest
+feasible base), and covering-1 for n = 4, k = 1 at P = 325, the one
+covering that fails there, so its time includes lifting the witness.
+The size is the dense dimension |P_t| the blocks stand for and the bits
+are those of the largest block entry. Each line ends with deterministic
+counters: the number of blocks, the largest block's rows and the rows of
+all blocks. The first of the 3 runs starts with the cached per-orbit
+terms and block lists of whatever ran before it.
 
 The last two lines time a transform pair. The first is the pair that
 verify_schedule runs: from_pseudo_probabilities and then, inside
@@ -90,6 +97,7 @@ import sys
 import tempfile
 import time
 from fractions import Fraction
+from math import comb
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
@@ -101,6 +109,7 @@ from momentcert import cli  # noqa: E402
 from momentcert.adf import AlmostDiagonalForm, assemble, from_pseudo  # noqa: E402
 from momentcert.certify import certify_recipe, decide_form, is_psd_exact  # noqa: E402
 from momentcert.gaps import (  # noqa: E402
+    _covering_orbits,
     build_knapsack,
     build_mkp,
     build_schedule,
@@ -116,7 +125,8 @@ from momentcert.lattice import (  # noqa: E402
     rat_str,
     to_pseudo_probabilities,
 )
-from momentcert.moments import constraint_diagonal, moment_matrix  # noqa: E402
+from momentcert.moments import constraint_diagonal  # noqa: E402
+from momentcert.orbits import block_matrix, decide_orbits, orbit_blocks  # noqa: E402
 import workloads  # noqa: E402
 
 ADF_N = 8
@@ -294,12 +304,19 @@ def mkp_recipe_row() -> str:
             f"readings={counts['readings']} folded={counts['folded']}")
 
 
-def schedule_covering_row(P: int) -> str:
-    instance = build_schedule(4, 2, P)
-    zp = constraint_diagonal(instance.covering_constraint(4), schedule_solution(instance))
+def schedule_covering_row(k: int, P: int, level: int) -> str:
+    instance = build_schedule(4, k, P)
     t = instance.level_cap - 1
-    verdict, times = timed(lambda: is_psd_exact(moment_matrix(zp, t)))
-    return row(f"schedule covering-4 P={P}", moment_matrix(zp, t), verdict, times)
+    orbits, moment = _covering_orbits(instance, level)
+    sizes = tuple(len(orbit) for orbit in orbits)
+    blocks = orbit_blocks(sizes, t)
+    verdict, times = timed(lambda: decide_orbits(orbits, instance.jobs, t, moment))
+    bits = max(max_bits(block_matrix(sizes, block, moment)) for block in blocks)
+    dense = sum(comb(instance.jobs, s) for s in range(t + 1))
+    return (f"{f'schedule (4,{k}) cov-{level} P={P}':<28} {dense:>5} {bits:>5} {verdict:>7} "
+            f"{statistics.median(times):>9.4f}  blocks={len(blocks)} "
+            f"largest={max(len(block.levels) for block in blocks)} "
+            f"rows={sum(len(block.levels) for block in blocks)}")
 
 
 def main() -> int:
@@ -320,8 +337,8 @@ def main() -> int:
         print(adf_json_row(n), flush=True)
     print(adf_measure_row(9), flush=True)
     print(mkp_recipe_row(), flush=True)
-    for P in (13, 14):
-        print(schedule_covering_row(P), flush=True)
+    for k, P, level in ((2, 13, 4), (2, 14, 4), (1, 325, 4), (1, 326, 4), (1, 325, 1)):
+        print(schedule_covering_row(k, P, level), flush=True)
     print(transform_row("transform-pair schedule n=4",
                         schedule_solution(build_schedule(4, 2, 20))), flush=True)
     print(transform_row("transform-pair moments n=9", measure_moments(9)), flush=True)
