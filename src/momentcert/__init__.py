@@ -49,13 +49,9 @@ from .gaps import (
     instance_from_json,
     instance_to_json,
     knapsack_constraint,
-    knapsack_integral_optimum,
     knapsack_solution,
-    lift_solution,
-    mkp_integral_optimum,
     mkp_uniform_solution,
     relaxation_objective,
-    schedule_integral_optimum,
     schedule_solution,
     trace_bound_check,
     uniform_low_cardinality,
@@ -73,22 +69,14 @@ from .lattice import (
     enumerate_subsets,
     from_pseudo_probabilities,
     max_ground_size,
-    pair_value,
     rat,
     rat_str,
     to_pseudo_probabilities,
 )
-from .moments import (
-    ZetaBlock,
-    constraint_diagonal,
-    extract_distribution,
-    moment_matrix,
-    shift,
-)
+from .moments import constraint_diagonal
 from .replay import (
     CANONICAL_PIVOTS,
     REDUCTION_STAGES,
-    TRANSCRIBED_STAGES,
     ReplayResult,
     canonical_instance,
     canonical_schedule,

@@ -73,6 +73,7 @@ from .lattice import (
     SubsetIndex,
     check_subset_count,
     json_int,
+    max_ground_size,
     parse_subset_mask,
     rat,
     rat_str,
@@ -212,6 +213,10 @@ def cmd_certify(args: argparse.Namespace) -> Outcome:
 
 def cmd_gap(args: argparse.Namespace) -> Outcome:
     if args.family == "knapsack":
+        if not 2 <= args.n <= max_ground_size():
+            raise GapError(
+                f"knapsack needs 2 <= n <= {max_ground_size()}, got {args.n}"
+            )
         k = rat(args.k)
         P = k * (1 << (2 * args.n + 1))
         report = verify_knapsack_level(args.n, P)

@@ -21,11 +21,6 @@ the cheap fractional solution therefore pins down an integrality gap.
   is decided by its orbit blocks (orbits.decide_orbits), each block by
   the exact oracle; the dense matrix over P_(n/k - 1) is never built. A
   NotPSD block's witness is lifted back to the dense rows.
-
-The lifted variant of the knapsack constraint (one always-picked extra
-item, demand 1 + 1/P) is certified by lifting the reduced solution with
-lift_solution rather than by a separate construction; a direct check of
-the lifted matrices stays available as a cross-check at small n.
 """
 
 from __future__ import annotations
@@ -33,8 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
-from math import comb
+from math import comb, lcm
 from typing import Callable, Iterator, Union
 
 from .adf import AlmostDiagonalForm, RankOneTerm, decompose, from_pseudo
@@ -64,9 +58,6 @@ from .lattice import (
     to_pseudo_probabilities,
 )
 from .moments import constraint_diagonal
-
-# Largest ground set the brute-force integral optima will enumerate.
-BRUTE_FORCE_MAX_VARS = 20
 
 
 class GapError(LatticeError):
@@ -168,18 +159,6 @@ class KnapsackGapInstance:
     def demand(self) -> Fraction:
         return 1 / self.P
 
-    def lifted_constraint(self) -> ConstraintPolynomial:
-        """Covering constraint of the lifted instance, over n + 1 items.
-
-        The extra item is forced (its moment is one after lifting) and
-        the demand rises to 1 + 1/P, which is the same constraint the
-        reduced instance sees after discounting the forced item.
-        """
-        weights = {i: 1 for i in range(1, self.n + 2)}
-        return ConstraintPolynomial.linear(
-            self.n + 1, weights, constant=-(1 + self.demand)
-        )
-
 
 def build_knapsack(n: int, P: RationalLike) -> KnapsackGapInstance:
     """The one place the knapsack parameters are checked."""
@@ -226,13 +205,20 @@ def knapsack_solution(n: int, P: RationalLike) -> LatticeVector:
 
 
 def relaxation_objective(p: LatticeVector) -> Fraction:
-    """Sum of the singleton moments, computed as sum_I |I| * p_I."""
+    """Sum of the singleton moments, computed as sum_I |I| * p_I.
+
+    The terms are added as integer numerators over the common denominator
+    L of the entries, and the sum is read back as one rational.
+    """
     if p.kind != PSEUDO_PROBABILITIES:
         raise GapError("objective expects a pseudo-probability vector")
-    return sum(
-        (Fraction(mask.bit_count()) * val for mask, val in p.items()),
-        Fraction(0),
+    entries = p.to_dict()
+    L = lcm(*(q.denominator for q in entries.values()))
+    total = sum(
+        mask.bit_count() * q.numerator * (L // q.denominator)
+        for mask, q in entries.items()
     )
+    return Fraction(total, L)
 
 
 def _recipe_and_oracle(
@@ -288,30 +274,6 @@ def verify_knapsack_level(n: int, P: RationalLike) -> GapReport:
     )
 
 
-def lift_solution(y: LatticeVector, t: int) -> LatticeVector:
-    """Extend a moment vector by one always-picked extra item.
-
-    Every lifted moment forgets the new item: y_I = y'_{I minus the new
-    element}, so in particular the new singleton moment is y'_empty and
-    unions with the new item copy the old moments. Feasibility of the
-    lifted instance at level t follows from feasibility of the reduced
-    one, which is what makes the reduction the default certification
-    path.
-    """
-    if y.kind != MOMENTS:
-        raise GapError("lift_solution expects a moment vector")
-    if t < 0:
-        raise GapError(f"level must be nonnegative, got {t}")
-    n = y.n
-    if n + 1 > max_ground_size():
-        raise GapError("lifting would exceed the ground-set cap")
-    new = 1 << n
-    lifted: dict[int, Fraction] = {}
-    for mask, val in y.items():
-        lifted[mask] = lifted[mask | new] = val
-    return LatticeVector(n + 1, MOMENTS, lifted)
-
-
 def trace_bound_check(n: int, P: RationalLike, y: LatticeVector) -> TraceBoundReport:
     """Trace identity and mass bound for the pivoted covering matrix.
 
@@ -355,26 +317,6 @@ def trace_bound_check(n: int, P: RationalLike, y: LatticeVector) -> TraceBoundRe
         bound_holds=p.get(0) <= rhs,
         matrix_psd=oracle.verdict == "PSD",
     )
-
-
-def _fewest_items(n: int, constraints: list[ConstraintPolynomial]) -> int:
-    """Brute-force fewest items of a 0/1 point meeting every constraint."""
-    if n > BRUTE_FORCE_MAX_VARS:
-        raise GapError(f"brute force is limited to {BRUTE_FORCE_MAX_VARS} items")
-    # L > 0, so L * g has the sign of g at every mask
-    values = [g.scaled_values(range(1 << n))[1] for g in constraints]
-    best = min(
-        (mask.bit_count() for mask in range(1 << n) if all(v[mask] >= 0 for v in values)),
-        default=None,
-    )
-    if best is None:
-        raise InfeasibleParametersError("no integral point meets the constraints")
-    return best
-
-
-def knapsack_integral_optimum(n: int, P: RationalLike) -> int:
-    """Brute-force cheapest 0/1 point covering the demand (always one item)."""
-    return _fewest_items(n, [knapsack_constraint(n, P)])
 
 
 # ---------------------------------------------------------------------------
@@ -456,18 +398,6 @@ def mkp_uniform_solution(instance: MkpInstance, t: int) -> LatticeVector:
             f"level cap {t + 1} exceeds the item count {instance.n_items}"
         )
     return uniform_low_cardinality(instance.n_items, t + 1)
-
-
-def mkp_integral_optimum(instance: MkpInstance) -> int:
-    """Brute-force cheapest 0/1 point meeting every block demand.
-
-    With eps in (0,1) each block needs at least one item, so the value is
-    the block count; the enumeration is the promised cross-check.
-    """
-    demands = [
-        instance.demand_constraint(b) for b in range(1, instance.blocks + 1)
-    ]
-    return _fewest_items(instance.n_items, demands)
 
 
 def verify_mkp(instance: MkpInstance, t: int) -> GapReport:
@@ -739,34 +669,6 @@ def find_min_feasible_P(n: int, k: RationalLike) -> int:
         else:
             lo = mid
     return hi
-
-
-def schedule_integral_optimum(instance: ScheduleInstance) -> int:
-    """Brute-force cheapest integral covering, enumerated by group counts.
-
-    Jobs inside a group are exchangeable, so only the per-group counts
-    matter; (n+1)^n count vectors is small at the supported sizes.
-    """
-    n = instance.n
-    demands = instance.demands
-    weights = [instance.P ** i for i in range(1, n + 1)]
-    best: Union[int, None] = None
-    for counts in product(range(n + 1), repeat=n):
-        total = sum(counts)
-        if best is not None and total >= best:
-            continue
-        acc = Fraction(0)
-        ok = True
-        for level in range(1, n + 1):
-            acc += weights[level - 1] * counts[level - 1]
-            if acc < demands[level - 1]:
-                ok = False
-                break
-        if ok:
-            best = total
-    if best is None:
-        raise InfeasibleParametersError("no integral point covers the demands")
-    return best
 
 
 # ---------------------------------------------------------------------------

@@ -36,8 +36,8 @@ PSEUDO_PROBABILITIES = "pseudo-probabilities"
 
 DEFAULT_MAX_GROUND = 24
 
-# Largest P_t that enumerate_subsets builds: the full P_n that ZetaBlock
-# materializes at its n = 12 cap.
+# Largest P_t that enumerate_subsets builds: the full P_n at n = 12, so a
+# dense matrix over P_t has at most 4096^2 cells.
 MAX_SUBSETS = 4096
 
 
@@ -313,33 +313,8 @@ class LatticeVector:
 
 
 # ---------------------------------------------------------------------------
-# pair values and the transforms
+# the transforms
 # ---------------------------------------------------------------------------
-
-
-def pair_value(
-    w: LatticeVector, I: Union[SubsetIndex, int], J: Union[SubsetIndex, int]
-) -> Fraction:
-    """Alternating sum over the second argument:
-
-        sum over H subset of J of (-1)^|H| * w_{H union I}
-
-    With J the complement of I this is the pseudo-probability of I.
-    """
-    if w.kind != MOMENTS:
-        raise LatticeError("pair_value expects a moment vector")
-    imask = _mask_of(I, w.n)
-    jmask = _mask_of(J, w.n)
-    total = Fraction(0)
-    sub = jmask
-    while True:
-        term = w.get(sub | imask)
-        if term:
-            total += -term if sub.bit_count() & 1 else term
-        if sub == 0:
-            break
-        sub = (sub - 1) & jmask
-    return total
 
 
 def _superset_transform(

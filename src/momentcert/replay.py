@@ -13,10 +13,7 @@ Every intermediate matrix is affine in eps, so the goldens below store
 rational eps. REDUCTION_STAGES is the machine-checked truth; the
 congruence invariant (each pivot stage plus the unfolded terms stays
 congruent to the input) was asserted at every stage when the table was
-frozen. TRANSCRIBED_STAGES is the hand calculation that circulates
-with the worked example: it disagrees with the exact reduction in the
-top-left cell of every stage, always by a deficit of exactly 2*eps,
-and is kept only as a comparison target.
+frozen.
 """
 
 from __future__ import annotations
@@ -108,21 +105,6 @@ REDUCTION_STAGES: tuple[tuple[tuple[tuple[int, int], ...], ...], ...] = (
         ((0, -4), (0, 1), (0, -2), (0, -1), (0, -1), (1, -5), (0, -1)),
         ((0, -4), (0, -2), (0, 1), (0, -1), (0, -1), (0, -1), (1, -5)),
     ),
-)
-
-_TRANSCRIBED_TOP_LEFT = ((2, 0), (2, -1), (2, -2), (2, -3), (2, -4), (2, -10))
-
-
-def _override_top_left(
-    stage: tuple[tuple[tuple[int, int], ...], ...], cell: tuple[int, int]
-) -> tuple[tuple[tuple[int, int], ...], ...]:
-    first = (cell,) + stage[0][1:]
-    return (first,) + stage[1:]
-
-
-TRANSCRIBED_STAGES = tuple(
-    _override_top_left(stage, cell)
-    for stage, cell in zip(REDUCTION_STAGES, _TRANSCRIBED_TOP_LEFT)
 )
 
 

@@ -14,9 +14,9 @@ from momentcert import (
     ScheduleInstance,
     constraint_diagonal,
     is_psd_exact,
-    moment_matrix,
     schedule_solution,
 )
+from moments_ref import moment_matrix
 
 
 def covering_matrix(instance: ScheduleInstance, level: int) -> list[list[Fraction]]:

@@ -20,7 +20,6 @@ from momentcert import (
     ConstraintPolynomial,
     LatticeVector,
     SubsetIndex,
-    TRANSCRIBED_STAGES,
     assemble,
     build_mkp,
     build_schedule,
@@ -37,13 +36,11 @@ from momentcert import (
     is_psd_exact,
     knapsack_constraint,
     knapsack_solution,
-    moment_matrix,
     normalized_demand_form,
     quad_eval,
     quadratic_form,
     replay_demand_reduction,
     schedule_solution,
-    shift,
     stage_matrices,
     to_pseudo_probabilities,
     trace_bound_check,
@@ -52,7 +49,9 @@ from momentcert import (
     verify_schedule,
 )
 
+from moments_ref import shift
 from psd_minors import principal_minors_psd
+from replay_ref import TRANSCRIBED_STAGES
 
 KNAPSACK_SIZES = [(n, k) for n in range(2, 8) for k in (1, 2, 4)]
 

@@ -16,16 +16,15 @@ from momentcert import (
     LatticeVector,
     RankOneTerm,
     SubsetIndex,
-    ZetaBlock,
     assemble,
     decompose,
     enumerate_subsets,
     from_pseudo,
     g_vector,
-    moment_matrix,
     quadratic_form,
     to_pseudo_probabilities,
 )
+from moments_ref import ZetaBlock, moment_matrix
 from rank_one_ref import dense
 
 

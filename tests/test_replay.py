@@ -5,7 +5,6 @@ from fractions import Fraction as F
 from momentcert import (
     CANONICAL_PIVOTS,
     REDUCTION_STAGES,
-    TRANSCRIBED_STAGES,
     assemble,
     canonical_instance,
     canonical_schedule,
@@ -14,6 +13,7 @@ from momentcert import (
     replay_demand_reduction,
     stage_matrices,
 )
+from replay_ref import TRANSCRIBED_STAGES
 
 
 def test_canonical_schedule_labels():
