@@ -60,6 +60,7 @@ from .lattice import (
     parse_subset_mask,
     rat,
     rat_str,
+    subset_label,
     to_pseudo_probabilities,
 )
 
@@ -170,9 +171,9 @@ class AlmostDiagonalForm:
         return {
             "n": self.n,
             "t": self.t,
-            "diag": {str(s): rat_str(v) for s, v in zip(self.index, self.diag)},
+            "diag": {subset_label(s.bits): rat_str(v) for s, v in zip(self.index, self.diag)},
             "terms": [
-                {"J": str(term.J), "coeff": rat_str(term.coefficient)}
+                {"J": subset_label(term.J.bits), "coeff": rat_str(term.coefficient)}
                 for term in self.terms
             ],
         }

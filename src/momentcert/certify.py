@@ -48,7 +48,7 @@ from functools import cached_property
 from typing import Sequence, Union
 
 from .adf import AlmostDiagonalForm, RankOneTerm, assemble, rank_one_triangle
-from .lattice import LatticeError, SubsetIndex, rat_str
+from .lattice import LatticeError, SubsetIndex, rat_str, subset_label
 
 Matrix = list[list[Fraction]]
 
@@ -230,7 +230,7 @@ class PivotState:
         self.snapshots: list[AlmostDiagonalForm] = []
 
     def labels(self) -> list[str]:
-        return [str(s) for s in self.index]
+        return [subset_label(s.bits) for s in self.index]
 
     def position(self, S: SubsetIndex) -> int:
         for k, s in enumerate(self.index):

@@ -25,6 +25,15 @@ prints nothing. main alone writes the artifact to --out and then prints
 the run report, each from one place, so a command that raises leaves
 neither.
 
+An artifact's text is json.dumps(payload, sort_keys=True,
+ensure_ascii=False, indent=2) plus a newline, byte for byte, but it is
+written by _json_text: json falls back to its pure-Python encoder
+whenever an indent is given, so _json_text sends every string and key
+through json's C string encoder and joins the containers itself. The
+whole text is built and encoded to UTF-8 before --out is opened, so a
+payload that cannot be written (a float, a Fraction or a non-str key
+raises TypeError, exit 5) leaves no file either.
+
 Rationals, in input files and on the command line alike, are written
 as an optional sign, ASCII digits and an optional "/digits": "3",
 "-7/2". Exponents, decimal points and underscores are refused, exit 2
@@ -46,6 +55,7 @@ import sys
 import time
 import traceback
 from fractions import Fraction
+from json.encoder import encode_basestring
 from typing import Any, Callable, Sequence, TypeVar, Union
 
 from .adf import AlmostDiagonalForm, from_pseudo
@@ -97,9 +107,43 @@ class InputError(Exception):
     """An input file could not be read or parsed."""
 
 
+def _json_text(value: Any, indent: str) -> str:
+    """value as json.dumps(value, sort_keys=True, ensure_ascii=False, indent=2) writes it.
+
+    indent is the line break and padding before value's own line. A
+    string inside a container is encoded in place, with no call per
+    string. Anything but str, int, bool, None, dict with str keys, list
+    and tuple raises TypeError, floats and Fractions included.
+    """
+    inner = indent + "  "
+    if isinstance(value, dict):
+        brackets, items = "{}", [
+            encode_basestring(k) + ": "
+            + (encode_basestring(v) if type(v) is str else _json_text(v, inner))
+            for k, v in sorted(value.items())
+        ]
+    elif isinstance(value, (list, tuple)):
+        brackets, items = "[]", [
+            encode_basestring(v) if type(v) is str else _json_text(v, inner) for v in value
+        ]
+    elif isinstance(value, str):
+        return encode_basestring(value)
+    elif value is None or isinstance(value, bool):
+        return "null" if value is None else "true" if value else "false"
+    elif isinstance(value, int):
+        return int.__repr__(value)
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1]
+
+
 def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2) + "\n")
+    """Write payload as indented JSON; the whole text is encoded before path is opened."""
+    data = (_json_text(payload, "\n") + "\n").encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(data)
 
 
 def _load(path: str, parse: Callable[[Any], T]) -> T:

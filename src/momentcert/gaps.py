@@ -155,10 +155,6 @@ class KnapsackGapInstance:
         check_subset_count(self.n, self.n)
         return knapsack_solution(self.n, self.P)
 
-    @property
-    def demand(self) -> Fraction:
-        return 1 / self.P
-
 
 def build_knapsack(n: int, P: RationalLike) -> KnapsackGapInstance:
     """The one place the knapsack parameters are checked."""

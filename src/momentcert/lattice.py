@@ -58,8 +58,9 @@ RationalLike = Union[int, str, Fraction]
 
 _ZERO = Fraction(0)
 
-# An optional sign, ASCII digits, and an optional "/" with ASCII digits.
-_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+# An optional sign, ASCII digits, and an optional "/" with ASCII digits,
+# padded with whitespace; \s is Unicode whitespace, the set str.strip removes.
+_RATIONAL = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
 
 
 def rat(value: RationalLike) -> Fraction:
@@ -73,18 +74,18 @@ def rat(value: RationalLike) -> Fraction:
     underscores and non-ASCII digits are refused, so no short string can
     stand for a huge integer.
     """
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
     if isinstance(value, str):
-        match = _RATIONAL.fullmatch(value.strip())
+        match = _RATIONAL.fullmatch(value)
         if match is not None:
             num, den = match.groups()
             try:
-                return Fraction(int(num), int(den or 1))
+                return Fraction(int(num), int(den)) if den else Fraction(int(num))
             except (ValueError, ZeroDivisionError) as exc:
                 raise LatticeError(f"not a rational: {value!r}") from exc
+    elif isinstance(value, Fraction):
+        return value
+    elif isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
     raise LatticeError(f"not a rational: {value!r}")
 
 
@@ -101,10 +102,7 @@ def json_int(value: object) -> int:
 
 def rat_str(value: RationalLike) -> str:
     """Canonical text form: 'p/q' in lowest terms with q > 0, or a bare int."""
-    q = rat(value)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    return str(rat(value))
 
 
 # ---------------------------------------------------------------------------
@@ -144,12 +142,22 @@ class SubsetIndex:
         return self.sort_key() < other.sort_key()
 
     def __str__(self) -> str:
-        return "{" + ",".join(str(i) for i in self.members()) + "}"
+        return subset_label(self.bits)
 
     @classmethod
     def parse(cls, text: str, n: int) -> "SubsetIndex":
         """Parse the text form '{1,3}' (or '{}' for the empty set)."""
         return cls(parse_subset_mask(text, n), n)
+
+
+def subset_label(bits: int) -> str:
+    """The text form '{1,3}' of a bitmask ('{}' for the empty set)."""
+    parts = []
+    while bits:
+        low = bits & -bits
+        parts.append(str(low.bit_length()))
+        bits ^= low
+    return "{" + ",".join(parts) + "}"
 
 
 def parse_subset_mask(text: str, n: int) -> int:
@@ -158,21 +166,23 @@ def parse_subset_mask(text: str, n: int) -> int:
     Each element is ASCII digits, optionally padded with whitespace, in
     1..n and listed once. n is checked first, so no element can ask for a
     mask wider than the ground-size cap. Readers of many labels call this
-    directly and build no SubsetIndex.
+    directly and build no SubsetIndex. The label is stripped once, and an
+    element only when it is padded.
     """
     if not 0 <= n <= max_ground_size():
         raise LatticeError(f"ground size {n} out of range")
     if not isinstance(text, str):
         raise LatticeError(f"not a subset: {text!r}")
     body = text.strip()
-    if not (body.startswith("{") and body.endswith("}")):
+    if body[:1] != "{" or body[-1:] != "}":
         raise LatticeError(f"not a subset: {text!r}")
-    inner = body[1:-1].strip()
+    inner = body[1:-1]
     bits = 0
-    for part in inner.split(",") if inner else ():
-        part = part.strip()
+    for part in inner.split(",") if inner and not inner.isspace() else ():
+        if not (part.isdigit() and part.isascii()):
+            part = part.strip()
         try:
-            if not (part.isascii() and part.isdigit()):
+            if not (part.isdigit() and part.isascii()):
                 raise ValueError(part)
             i = int(part)
         except ValueError as exc:

@@ -42,7 +42,7 @@ def lifted_constraint(instance: KnapsackGapInstance) -> ConstraintPolynomial:
     """
     weights = {i: 1 for i in range(1, instance.n + 2)}
     return ConstraintPolynomial.linear(
-        instance.n + 1, weights, constant=-(1 + instance.demand)
+        instance.n + 1, weights, constant=-(1 + 1 / instance.P)
     )
 
 

@@ -670,9 +670,50 @@ def test_failed_runs_print_no_report_and_leave_no_artifact(monkeypatch, tmp_path
         assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "payload, error",
+    [({"x": 1.5}, "TypeError"), ({"x": [F(1, 2)]}, "TypeError"), ({1: "a"}, "TypeError"),
+     ({"a": {None: 0}}, "TypeError"), ({"\ud800": 0}, "UnicodeEncodeError")],
+)
+def test_unwritable_payload_exits_5_and_leaves_no_artifact(
+    payload, error, monkeypatch, tmp_path, capsys
+):
+    monkeypatch.setattr(cli, "cmd_replay", lambda args: (payload, {}, {}, 0))
+    out = tmp_path / "r.json"
+    assert main(["replay", "--out", str(out)]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert error in captured.err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # determinism
 # ---------------------------------------------------------------------------
+
+
+# Lone surrogates have no UTF-8 form; a payload holding one exits 5 (above).
+_JSON_KEYS = st.text(
+    alphabet=st.characters(exclude_categories=["Cs"]) | st.sampled_from('"\\/\x00\x1f\x7f\u2028é')
+)
+_JSON_TREES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(10**60), 10**60) | _JSON_KEYS,
+    lambda children: (
+        st.lists(children, max_size=4) | st.dictionaries(_JSON_KEYS, children, max_size=4)
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_JSON_TREES)
+def test_written_json_is_the_stdlib_indented_text(tree):
+    expected = json.dumps(tree, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "tree.json")
+        cli._write_json(path, tree)
+        with open(path, "rb") as fh:
+            assert fh.read() == expected.encode("utf-8")
 
 
 def test_artifacts_are_byte_identical_across_reruns(tmp_path, capsys):

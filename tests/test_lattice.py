@@ -3,7 +3,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from momentcert import (
@@ -19,7 +19,8 @@ from momentcert import (
     rat_str,
     to_pseudo_probabilities,
 )
-from momentcert.lattice import check_subset_count
+import codec_ref
+from momentcert.lattice import check_subset_count, parse_subset_mask, subset_label
 from moments_ref import pair_value
 
 
@@ -68,6 +69,58 @@ def test_subset_members_and_text_roundtrip():
 def test_subset_parse_rejects_garbage(text):
     with pytest.raises(LatticeError):
         SubsetIndex.parse(text, 3)
+
+
+# Texts over the characters the codecs treat specially: ASCII and Arabic-Indic
+# digits, the label and rational punctuation, ASCII and Unicode whitespace
+# (str.strip removes both), and the characters of underscored, decimal and
+# exponent forms.
+_CODEC_TEXT = st.text(
+    alphabet=list("0123456789\u0661\u0663{},/+- \t\n\r\x0b\x0c\xa0\u3000_.e"), max_size=12
+)
+
+
+def _outcome(f, *args):
+    """f(*args) as ("ok", value), or ("raises", type, message) when it raises."""
+    try:
+        return ("ok", f(*args))
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome compared
+        return ("raises", type(exc), str(exc))
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=st.one_of(_CODEC_TEXT, st.builds("{{{}}}".format, _CODEC_TEXT), st.none(),
+                      st.integers()),
+       n=st.integers(-1, 26))
+@example(text="\u3000{ 1 ,\xa02\t}\xa0", n=3)
+@example(text="{" + "1" * 5000 + "}", n=3)
+@example(text="{2,x}", n=1)
+@example(text="{1,1,x}", n=3)
+def test_parse_subset_mask_matches_the_reference(text, n):
+    got = _outcome(parse_subset_mask, text, n)
+    assert got == _outcome(codec_ref.parse_subset_mask, text, n)
+    assert got[0] == "ok" or got[1] is LatticeError
+
+
+@settings(max_examples=400, deadline=None)
+@given(value=st.one_of(_CODEC_TEXT, st.integers(), st.fractions(), st.booleans(),
+                       st.floats(allow_nan=False), st.none()))
+@example(value="\xa0-6/4\u3000")
+@example(value="1" * 5000)
+@example(value="1/0")
+def test_rat_and_rat_str_match_the_reference(value):
+    got = _outcome(rat, value)
+    assert got == _outcome(codec_ref.rat, value)
+    assert got[0] == "ok" or got[1] is LatticeError
+    assert _outcome(rat_str, value) == _outcome(codec_ref.rat_str, value)
+
+
+def test_subset_labels_match_the_reference_and_parse_back():
+    for n in range(11):
+        for mask in range(1 << n):
+            label = subset_label(mask)
+            assert label == str(SubsetIndex(mask, n)) == codec_ref.subset_str(SubsetIndex(mask, n))
+            assert parse_subset_mask(label, n) == mask
 
 
 def test_subset_validation():

@@ -1,4 +1,4 @@
-"""Wall time of the oracle, decide_form, the pivot recipe, assemble, the orbit blocks and the lattice transforms.
+"""Wall time of the oracle, decide_form, the pivot recipe, assemble, the orbit blocks, the lattice transforms and the artifact writer.
 
     python3 tools/oracle_timing.py
 
@@ -75,6 +75,16 @@ is the median of 3 runs of the pair. The line ends with the number of
 g_vector calls in one further run of the pair, counted by a wrapper on
 momentcert.adf.g_vector.
 
+Two report-json lines time the artifact writer on the payload that
+cmd_gap returns for `gap knapsack --n 6 --k 2` and for `gap schedule
+--n 4 --k 2 --P 20`: the seconds column is the median of 3 runs of
+cli._write_json, and stdlib= the median of 3 writes of the same payload
+as json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2)
+plus a newline, both to a file in a temporary directory. The verdict
+column reads "exact" when the two files hold the same bytes. The line
+ends with deterministic counters: the file's bytes, and the subset
+labels and rationals among its strings (keys and values).
+
 The mkp-recipe line times the rank-one layer alone: the pivot_reduce
 calls and the gershgorin(state) readings of the greedy certify_recipe on
 the demand-1 form of gap mkp with 4 blocks of 3 items, eps = 1/16 and
@@ -90,8 +100,10 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
 import os
 import random
+import re
 import statistics
 import sys
 import tempfile
@@ -273,6 +285,32 @@ def adf_measure_row(n: int) -> str:
             f"{statistics.median(times):>9.4f}  g_vector={len(calls)}")
 
 
+def report_json_row(name: str, argv: list[str]) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        ours, stdlib = os.path.join(tmp, "ours.json"), os.path.join(tmp, "stdlib.json")
+        payload = cli.cmd_gap(cli._PARSER.parse_args(argv + ["--out", ours]))[0]
+
+        def write_stdlib(path: str, data: dict) -> None:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(json.dumps(data, sort_keys=True, ensure_ascii=False, indent=2) + "\n")
+
+        times = {}
+        for write, path in ((cli._write_json, ours), (write_stdlib, stdlib)):
+            times[path] = []
+            for _ in range(3):
+                start = time.perf_counter()
+                write(path, payload)
+                times[path].append(time.perf_counter() - start)
+        with open(ours, "rb") as fh, open(stdlib, "rb") as gh:
+            data = fh.read()
+            verdict = "exact" if data == gh.read() else "DIFF"
+    labels = len(re.findall(rb'"\{[0-9,]*\}"', data))
+    rationals = len(re.findall(rb'"-?[0-9]+(?:/[0-9]+)?"', data))
+    return (f"{name:<28} {'-':>5} {'-':>5} {verdict:>7} {statistics.median(times[ours]):>9.4f}"
+            f"  stdlib={statistics.median(times[stdlib]):.4f} bytes={len(data)}"
+            f" labels={labels} rationals={rationals}")
+
+
 def mkp_recipe_row() -> str:
     instance = build_mkp(4, 3, Fraction(1, 16), 3)
     form = from_pseudo(constraint_diagonal(instance.demand_constraint(1), instance.solution(1)), 1)
@@ -337,6 +375,10 @@ def main() -> int:
         print(adf_json_row(n), flush=True)
     print(adf_measure_row(9), flush=True)
     print(mkp_recipe_row(), flush=True)
+    print(report_json_row("report-json knapsack n=6 k=2",
+                          ["gap", "knapsack", "--n", "6", "--k", "2"]), flush=True)
+    print(report_json_row("report-json schedule P=20",
+                          ["gap", "schedule", "--n", "4", "--k", "2", "--P", "20"]), flush=True)
     for k, P, level in ((2, 13, 4), (2, 14, 4), (1, 325, 4), (1, 326, 4), (1, 325, 1)):
         print(schedule_covering_row(k, P, level), flush=True)
     print(transform_row("transform-pair schedule n=4",
