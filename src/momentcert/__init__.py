@@ -62,9 +62,9 @@ from .gaps import (
 from .lattice import (
     MOMENTS,
     PSEUDO_PROBABILITIES,
-    ConstraintPolynomial,
     LatticeError,
     LatticeVector,
+    LinearConstraint,
     SubsetIndex,
     enumerate_subsets,
     from_pseudo_probabilities,

@@ -99,7 +99,7 @@ class GershgorinReport:
 
     @property
     def all_nonnegative(self) -> bool:
-        return all(c >= r for c, r in zip(self.centers, self.radii))
+        return self.margin() >= 0
 
     @cached_property
     def margins(self) -> list[Fraction]:

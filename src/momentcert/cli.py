@@ -273,8 +273,10 @@ def cmd_gap(args: argparse.Namespace) -> Outcome:
         k = rat(args.k)
         if args.find_min_p == (args.P is not None):
             raise GapError("schedule needs exactly one of --P and --find-min-p")
-        P = find_min_feasible_P(args.n, k) if args.find_min_p else rat(args.P)
-        report = verify_schedule(build_schedule(args.n, k, P))
+        if args.find_min_p:
+            report = find_min_feasible_P(args.n, k)
+        else:
+            report = verify_schedule(build_schedule(args.n, k, rat(args.P)))
         ok = report.feasible and report.gap >= k
 
     return (

@@ -43,9 +43,9 @@ from .certify import (
 from .lattice import (
     MOMENTS,
     PSEUDO_PROBABILITIES,
-    ConstraintPolynomial,
     LatticeError,
     LatticeVector,
+    LinearConstraint,
     RationalLike,
     SubsetIndex,
     check_subset_count,
@@ -168,11 +168,11 @@ def build_knapsack(n: int, P: RationalLike) -> KnapsackGapInstance:
     return KnapsackGapInstance(n, Pq)
 
 
-def knapsack_constraint(n: int, P: RationalLike) -> ConstraintPolynomial:
-    """The covering polynomial sum_i x_i - 1/P over n items."""
+def knapsack_constraint(n: int, P: RationalLike) -> LinearConstraint:
+    """The covering constraint sum_i x_i - 1/P over n items."""
     Pq = build_knapsack(n, P).P
     weights = {i: 1 for i in range(1, n + 1)}
-    return ConstraintPolynomial.linear(n, weights, constant=-1 / Pq)
+    return LinearConstraint(n, weights, constant=-1 / Pq)
 
 
 def knapsack_solution(n: int, P: RationalLike) -> LatticeVector:
@@ -352,13 +352,13 @@ class MkpInstance:
         start = (block - 1) * self.items_per_block + 1
         return tuple(range(start, start + self.items_per_block))
 
-    def cardinality_constraint(self) -> ConstraintPolynomial:
+    def cardinality_constraint(self) -> LinearConstraint:
         weights = {i: -1 for i in range(1, self.n_items + 1)}
-        return ConstraintPolynomial.linear(self.n_items, weights, constant=self.T)
+        return LinearConstraint(self.n_items, weights, constant=self.T)
 
-    def demand_constraint(self, block: int) -> ConstraintPolynomial:
+    def demand_constraint(self, block: int) -> LinearConstraint:
         weights = {i: 1 for i in self.block_members(block)}
-        return ConstraintPolynomial.linear(self.n_items, weights, constant=-self.eps)
+        return LinearConstraint(self.n_items, weights, constant=-self.eps)
 
 
 def build_mkp(
@@ -487,35 +487,27 @@ class ScheduleInstance:
         start = (group - 1) * self.n + 1
         return tuple(range(start, start + self.n))
 
-    def cardinality_constraint(self) -> ConstraintPolynomial:
+    def cardinality_constraint(self) -> LinearConstraint:
         weights = {v: -1 for v in range(1, self.jobs + 1)}
-        return ConstraintPolynomial.linear(self.jobs, weights, constant=self.level_cap)
+        return LinearConstraint(self.jobs, weights, constant=self.level_cap)
 
-    def covering_constraint(self, level: int) -> ConstraintPolynomial:
+    def covering_constraint(self, level: int) -> LinearConstraint:
         """Prefix covering constraint, scaled down by P^level.
 
-        The raw constraint weights group i by P^i against demand D_level;
-        the P^(-level) scaling keeps every coefficient at most one, which
-        is what the certification matrices are built from. Scaling by a
+        The raw constraint weighs group i by P^i against demand D_level;
+        the P^(-level) scaling keeps every weight at most one, which is
+        what the certification matrices are built from. Scaling by a
         positive constant does not move the PSD verdict.
         """
-        raw = self.raw_covering_constraint(level)
-        scale = self.P ** (-level)
-        return ConstraintPolynomial(
-            self.jobs, {mask: raw.coefficient(mask) * scale for mask in raw.support()}
-        )
-
-    def raw_covering_constraint(self, level: int) -> ConstraintPolynomial:
-        """Prefix covering constraint: group i weighs P^i, demand D_level."""
         if not 1 <= level <= self.n:
             raise GapError(f"covering level {level} out of range")
-        weights: dict[int, Fraction] = {}
-        for i in range(1, level + 1):
-            for v in self.group_members(i):
-                weights[v] = self.P ** i
-        return ConstraintPolynomial.linear(
-            self.jobs, weights, constant=-self.demands[level - 1]
-        )
+        weights = {
+            v: self.P ** (i - level)
+            for i in range(1, level + 1)
+            for v in self.group_members(i)
+        }
+        constant = -self.demands[level - 1] * self.P ** (-level)
+        return LinearConstraint(self.jobs, weights, constant)
 
 
 def build_schedule(n: int, k: RationalLike, P: RationalLike) -> ScheduleInstance:
@@ -602,31 +594,31 @@ def _covering_certificates(instance: ScheduleInstance) -> Iterator[PsdCertificat
         yield decide_orbits(orbits, instance.jobs, instance.level_cap - 1, moment)
 
 
-def verify_schedule(instance: ScheduleInstance) -> GapReport:
-    """Certify the uniform solution for one scheduling instance.
+def _schedule_report(
+    instance: ScheduleInstance, coverings: list[PsdCertificate]
+) -> GapReport:
+    """The report of one scheduling instance, given its covering certificates.
 
     The moment matrix at the cap level decomposes to a plain nonnegative
     diagonal (no rank-one terms survive, since no pseudo-probability
     lives above the cap), and the cardinality matrix is a nonnegative
-    diagonal for every P. Each prefix covering matrix is decided by its
-    orbit blocks. Feasibility is the conjunction; the gap is the
-    integral cost n over the cap n/k, which is k.
+    diagonal for every P; both are certified here. Feasibility is the
+    conjunction; the gap is the integral cost n over the cap n/k, which
+    is k.
     """
     p = schedule_solution(instance)
     cap = instance.level_cap
     moment_cert = certify_recipe(decompose(from_pseudo_probabilities(p), cap))
-    certificates: list[tuple[str, PsdCertificate]] = [
-        ("moment-matrix", moment_cert)
-    ]
-
     cardinality_form = from_pseudo(
         constraint_diagonal(instance.cardinality_constraint(), p), cap - 1
     )
-    cardinality_cert = certify_recipe(cardinality_form)
-    certificates.append(("cardinality", cardinality_cert))
-    for level, cert in enumerate(_covering_certificates(instance), start=1):
-        certificates.append((f"covering-{level}", cert))
-
+    certificates = [
+        ("moment-matrix", moment_cert),
+        ("cardinality", certify_recipe(cardinality_form)),
+    ]
+    certificates += [
+        (f"covering-{level}", cert) for level, cert in enumerate(coverings, start=1)
+    ]
     objective = relaxation_objective(p)
     return GapReport(
         instance=instance,
@@ -637,26 +629,41 @@ def verify_schedule(instance: ScheduleInstance) -> GapReport:
     )
 
 
-def find_min_feasible_P(n: int, k: RationalLike) -> int:
-    """Smallest integer weight base P >= 2 with all coverings PSD.
+def verify_schedule(instance: ScheduleInstance) -> GapReport:
+    """Certify the uniform solution for one scheduling instance.
+
+    Each prefix covering matrix is decided by its orbit blocks; the
+    moment and cardinality matrices are certified by _schedule_report.
+    """
+    return _schedule_report(instance, list(_covering_certificates(instance)))
+
+
+def find_min_feasible_P(n: int, k: RationalLike) -> GapReport:
+    """The report at the smallest integer weight base P >= 2 with all coverings PSD.
 
     Doubles from 2 until a feasible base appears, then bisects; the
     moment and cardinality matrices never depend on P, so only the
-    covering matrices are consulted. The search is guarded against
-    running away when no feasible base exists below 2^40.
+    covering matrices are consulted. The covering certificates of the
+    feasible base found last are kept, so the report decides no covering
+    twice; the base is the report's instance.P. The search is guarded
+    against running away when no feasible base exists below 2^40.
     """
+    feasible: dict[int, list[PsdCertificate]] = {}
 
     def coverings_psd(P: int) -> bool:
-        certs = _covering_certificates(build_schedule(n, k, P))
-        return all(cert.verdict == "PSD" for cert in certs)
+        certs = []
+        for cert in _covering_certificates(build_schedule(n, k, P)):
+            if cert.verdict != "PSD":
+                return False
+            certs.append(cert)
+        feasible[P] = certs
+        return True
 
     hi = 2
     while not coverings_psd(hi):
         hi *= 2
         if hi > 1 << 40:
             raise GapError("no feasible integer base below 2^40")
-    if hi == 2:
-        return 2
     lo = hi // 2
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -664,7 +671,7 @@ def find_min_feasible_P(n: int, k: RationalLike) -> int:
             hi = mid
         else:
             lo = mid
-    return hi
+    return _schedule_report(build_schedule(n, k, hi), feasible[hi])
 
 
 # ---------------------------------------------------------------------------

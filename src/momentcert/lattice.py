@@ -18,6 +18,11 @@ integer numerators over the common denominator L of the stored values,
 one superset pass per bit runs over a mask->int map that holds only the
 down-closure D of the support (n * |D| additions, never a 2^n list), and
 each nonzero result x is read back as the reduced rational x / L.
+
+Constraints are linear, g(x) = constant + sum_i w_i x_i (LinearConstraint):
+all three gap families and the paper's two covering problems need no
+more, and g at the 0/1 point with support I is the constant plus the
+weights of the elements of I.
 """
 
 from __future__ import annotations
@@ -127,19 +132,11 @@ class SubsetIndex:
     def cardinality(self) -> int:
         return self.bits.bit_count()
 
-    def members(self) -> tuple[int, ...]:
-        return tuple(i + 1 for i in range(self.n) if self.bits >> i & 1)
-
     def issubset(self, other: "SubsetIndex") -> bool:
         return self.bits & ~other.bits == 0
 
     def sort_key(self) -> tuple[int, int]:
         return (self.bits.bit_count(), self.bits)
-
-    def __lt__(self, other: "SubsetIndex") -> bool:
-        if other.n != self.n:
-            raise LatticeError("comparing subsets over different ground sets")
-        return self.sort_key() < other.sort_key()
 
     def __str__(self) -> str:
         return subset_label(self.bits)
@@ -229,14 +226,10 @@ def enumerate_subsets(n: int, t: int) -> list[SubsetIndex]:
     return out
 
 
-def _mask_of(index: Union[SubsetIndex, int], n: int) -> int:
-    if isinstance(index, SubsetIndex):
-        if index.n != n:
-            raise LatticeError("subset over a different ground set")
-        return index.bits
-    if not 0 <= index < (1 << n):
-        raise LatticeError(f"bitmask {index} out of range for n={n}")
-    return index
+def _mask_of(mask: int, n: int) -> int:
+    if not 0 <= mask < (1 << n):
+        raise LatticeError(f"bitmask {mask} out of range for n={n}")
+    return mask
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +240,9 @@ def _mask_of(index: Union[SubsetIndex, int], n: int) -> int:
 class LatticeVector:
     """Exact rational vector indexed by subsets of {1..n}.
 
-    The store is a mask->value map of the nonzero entries; absent masks
-    read as zero. from_dense and to_dense convert to and from 2^n lists
+    The entries are given as a mapping from int masks to rationals, and
+    the store is a mask->value map of the nonzero ones; absent masks read
+    as zero. from_dense and to_dense convert to and from 2^n lists
     of Fractions, and to_dict copies the map out for callers that read
     many masks.
     """
@@ -259,7 +253,7 @@ class LatticeVector:
         self,
         n: int,
         kind: str,
-        entries: Union[Mapping, Iterable[tuple], None] = None,
+        entries: Union[Mapping[int, RationalLike], None] = None,
     ) -> None:
         if n < 0 or n > max_ground_size():
             raise LatticeError(f"ground size {n} out of range")
@@ -267,16 +261,8 @@ class LatticeVector:
             raise LatticeError(f"unknown vector kind {kind!r}")
         self.n = n
         self.kind = kind
-        pairs = entries.items() if isinstance(entries, Mapping) else (entries or ())
-        store: dict[int, Fraction] = {}
-        for key, value in pairs:
-            mask = _mask_of(key, n)
-            val = rat(value)
-            if val:
-                store[mask] = val
-            else:
-                store.pop(mask, None)
-        self._entries = store
+        values = {_mask_of(m, n): rat(v) for m, v in (entries or {}).items()}
+        self._entries = {mask: q for mask, q in values.items() if q}
 
     @classmethod
     def from_dense(cls, n: int, kind: str, values: list[Fraction]) -> "LatticeVector":
@@ -286,8 +272,8 @@ class LatticeVector:
         vec._entries = {m: q for m, q in enumerate(map(rat, values)) if q}
         return vec
 
-    def get(self, index: Union[SubsetIndex, int]) -> Fraction:
-        return self._entries.get(_mask_of(index, self.n), _ZERO)
+    def get(self, mask: int) -> Fraction:
+        return self._entries.get(_mask_of(mask, self.n), _ZERO)
 
     __getitem__ = get
 
@@ -371,83 +357,56 @@ def from_pseudo_probabilities(p: LatticeVector) -> LatticeVector:
 
 
 # ---------------------------------------------------------------------------
-# constraint polynomials
+# linear constraints
 # ---------------------------------------------------------------------------
 
 
-class ConstraintPolynomial:
-    """Multilinear polynomial g(x) = sum_K g_K * prod_{i in K} x_i.
+class LinearConstraint:
+    """Linear constraint g(x) = constant + sum_i weights[i] * x_i over {1..n}.
 
-    Over 0/1 points a monomial prod_{i in K} x_i is the indicator of
-    K being contained in the support, so g evaluated at the point with
-    support I is the subset sum of the coefficients over K inside I.
+    Elements are 1-based; zero weights are dropped. At the 0/1 point with
+    support I, g is the constant plus the weights of the elements of I.
     """
 
-    __slots__ = ("n", "_coef")
+    __slots__ = ("n", "constant", "weights")
 
-    def __init__(self, n: int, coefficients: Union[Mapping, Iterable[tuple]]) -> None:
-        if n < 0 or n > max_ground_size():
-            raise LatticeError(f"ground size {n} out of range")
-        self.n = n
-        pairs = (
-            coefficients.items()
-            if isinstance(coefficients, Mapping)
-            else coefficients
-        )
-        coef: dict[int, Fraction] = {}
-        for key, value in pairs:
-            mask = _mask_of(key, n)
-            val = rat(value)
-            if val:
-                coef[mask] = val
-        self._coef = coef
-
-    @classmethod
-    def linear(
-        cls,
+    def __init__(
+        self,
         n: int,
         weights: Mapping[int, RationalLike],
         constant: RationalLike = 0,
-    ) -> "ConstraintPolynomial":
-        """Build constant + sum_i weights[i] * x_i (elements are 1-based)."""
-        coef: dict[int, Fraction] = {0: rat(constant)}
+    ) -> None:
+        if n < 0 or n > max_ground_size():
+            raise LatticeError(f"ground size {n} out of range")
+        self.n = n
+        self.constant = rat(constant)
+        self.weights: dict[int, Fraction] = {}
         for i, wi in weights.items():
             if not 1 <= i <= n:
                 raise LatticeError(f"element {i} outside ground set of size {n}")
-            coef[1 << (i - 1)] = rat(wi)
-        return cls(n, coef)
-
-    def coefficient(self, index: Union[SubsetIndex, int]) -> Fraction:
-        return self._coef.get(_mask_of(index, self.n), Fraction(0))
-
-    def support(self) -> list[int]:
-        """Masks with nonzero coefficient, in graded order."""
-        return sorted(self._coef, key=lambda m: (m.bit_count(), m))
-
-    def value_at(self, index: Union[SubsetIndex, int]) -> Fraction:
-        """g evaluated at the 0/1 point whose support is the given subset."""
-        L, (x,) = self.scaled_values([_mask_of(index, self.n)])
-        return Fraction(x, L)
+            val = rat(wi)
+            if val:
+                self.weights[i] = val
 
     def scaled_values(self, masks: Iterable[int]) -> tuple[int, list[int]]:
-        """The common denominator L of the coefficients, and L * g at each mask.
+        """The common denominator L of the constant and weights, and L * g at each mask.
 
-        Each value is the subset sum of the integer numerators L * g_K over
-        the K inside the mask, so a caller evaluating g at many points adds
-        Python ints and builds each rational result once.
+        Each value is the integer numerator of the constant plus those of
+        the weights whose bit the mask has, so a caller evaluating g at
+        many points adds Python ints and builds each rational result once.
         """
-        L = math.lcm(*(q.denominator for q in self._coef.values()))
-        coef = [(mask, q.numerator * (L // q.denominator)) for mask, q in self._coef.items()]
-        return L, [sum(c for mask, c in coef if mask & ~imask == 0) for imask in masks]
+        L = math.lcm(
+            self.constant.denominator, *(q.denominator for q in self.weights.values())
+        )
+        c = self.constant.numerator * (L // self.constant.denominator)
+        bits = [
+            (1 << (i - 1), q.numerator * (L // q.denominator))
+            for i, q in self.weights.items()
+        ]
+        return L, [c + sum(w for bit, w in bits if imask & bit) for imask in masks]
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ConstraintPolynomial):
+        if not isinstance(other, LinearConstraint):
             return NotImplemented
-        return self.n == other.n and self._coef == other._coef
-
-    def __repr__(self) -> str:
-        parts = ", ".join(
-            f"{SubsetIndex(m, self.n)}: {rat_str(v)}"
-            for m, v in sorted(self._coef.items())
-        )
-        return f"ConstraintPolynomial(n={self.n}, {{{parts}}})"
+        mine = (self.n, self.constant, self.weights)
+        return mine == (other.n, other.constant, other.weights)

@@ -1,8 +1,9 @@
 """Constraint shifts of lattice vectors, computed pointwise.
 
-Shifting a moment vector y by a constraint polynomial g produces the
-vector z with z_I = sum_K g_K * y_{I union K}; the moment matrix of z is
-the localizing matrix of g. On pseudo-probabilities the shift is
+Shifting a moment vector y by a linear constraint
+g = constant + sum_i w_i x_i produces the vector z with
+z_I = constant * y_I + sum_i w_i * y_{I union {i}}; the moment matrix of z
+is the localizing matrix of g. On pseudo-probabilities the shift is
 diagonal: z's pseudo-probability at I is g at the 0/1 point with support
 I times y's pseudo-probability at I. constraint_diagonal computes it
 that way, so no transform pass runs over the shifted vector.
@@ -15,16 +16,14 @@ from fractions import Fraction
 from .lattice import (
     MOMENTS,
     PSEUDO_PROBABILITIES,
-    ConstraintPolynomial,
     LatticeError,
     LatticeVector,
+    LinearConstraint,
     to_pseudo_probabilities,
 )
 
 
-def constraint_diagonal(
-    g: ConstraintPolynomial, y: LatticeVector
-) -> LatticeVector:
+def constraint_diagonal(g: LinearConstraint, y: LatticeVector) -> LatticeVector:
     """Pseudo-probabilities of the shifted vector, computed pointwise.
 
     The shifted functional's pseudo-probability at I is g evaluated at the

@@ -143,12 +143,12 @@ def canonical_schedule(n_items: int = 6) -> list[tuple[SubsetIndex, SubsetIndex]
 def stage_matrices(
     eps: RationalLike, tables: Sequence = REDUCTION_STAGES
 ) -> list[Matrix]:
-    """Evaluate the symbolic stage tables at a rational eps."""
+    """Evaluate the symbolic stage tables at a rational eps.
+
+    The table entries are ints, so each c + m * eps is already a Fraction.
+    """
     e = rat(eps)
-    return [
-        [[Fraction(c) + Fraction(m) * e for c, m in row] for row in stage]
-        for stage in tables
-    ]
+    return [[[c + m * e for c, m in row] for row in stage] for stage in tables]
 
 
 @dataclass

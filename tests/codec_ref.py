@@ -42,7 +42,7 @@ def rat_str(value: RationalLike) -> str:
 
 
 def subset_str(self: SubsetIndex) -> str:
-    return "{" + ",".join(str(i) for i in self.members()) + "}"
+    return "{" + ",".join(str(i + 1) for i in range(self.n) if self.bits >> i & 1) + "}"
 
 
 def parse_subset_mask(text: str, n: int) -> int:

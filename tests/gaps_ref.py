@@ -23,8 +23,8 @@ from momentcert.gaps import (
 )
 from momentcert.lattice import (
     MOMENTS,
-    ConstraintPolynomial,
     LatticeVector,
+    LinearConstraint,
     RationalLike,
     max_ground_size,
 )
@@ -33,7 +33,7 @@ from momentcert.lattice import (
 BRUTE_FORCE_MAX_VARS = 20
 
 
-def lifted_constraint(instance: KnapsackGapInstance) -> ConstraintPolynomial:
+def lifted_constraint(instance: KnapsackGapInstance) -> LinearConstraint:
     """Covering constraint of the lifted instance, over n + 1 items.
 
     The extra item is forced (its moment is one after lifting) and
@@ -41,7 +41,7 @@ def lifted_constraint(instance: KnapsackGapInstance) -> ConstraintPolynomial:
     reduced instance sees after discounting the forced item.
     """
     weights = {i: 1 for i in range(1, instance.n + 2)}
-    return ConstraintPolynomial.linear(
+    return LinearConstraint(
         instance.n + 1, weights, constant=-(1 + 1 / instance.P)
     )
 
@@ -70,7 +70,7 @@ def lift_solution(y: LatticeVector, t: int) -> LatticeVector:
     return LatticeVector(n + 1, MOMENTS, lifted)
 
 
-def _fewest_items(n: int, constraints: list[ConstraintPolynomial]) -> int:
+def _fewest_items(n: int, constraints: list[LinearConstraint]) -> int:
     """Brute-force fewest items of a 0/1 point meeting every constraint."""
     if n > BRUTE_FORCE_MAX_VARS:
         raise GapError(f"brute force is limited to {BRUTE_FORCE_MAX_VARS} items")

@@ -7,8 +7,9 @@ check it against these routes, which read the moments directly:
 
 * moment_matrix builds M_t, whose entry (I, J) is the moment at I union
   J, from either vector kind; shift is the moment-side shift by a
-  constraint polynomial, z_I = sum_K g_K * w_{I union K}, whose moment
-  matrix is the localizing matrix of g.
+  linear constraint, z_I = sum_K g_K * w_{I union K} over the monomials
+  K of g (the empty one with the constant, each singleton {i} with its
+  weight), whose moment matrix is the localizing matrix of g.
 * pair_value is the alternating sum over subsets of J of the moments at
   their unions with I; with J the complement of I it is the
   pseudo-probability of I, read from one entry at a time.
@@ -31,9 +32,9 @@ from typing import Sequence, Union
 
 from momentcert.lattice import (
     MOMENTS,
-    ConstraintPolynomial,
     LatticeError,
     LatticeVector,
+    LinearConstraint,
     SubsetIndex,
     _mask_of,
     enumerate_subsets,
@@ -44,9 +45,7 @@ from momentcert.lattice import (
 ZETA_BLOCK_MAX_N = 12
 
 
-def pair_value(
-    w: LatticeVector, I: Union[SubsetIndex, int], J: Union[SubsetIndex, int]
-) -> Fraction:
+def pair_value(w: LatticeVector, I: int, J: int) -> Fraction:
     """Alternating sum over the second argument:
 
         sum over H subset of J of (-1)^|H| * w_{H union I}
@@ -69,17 +68,20 @@ def pair_value(
     return total
 
 
-def shift(g: ConstraintPolynomial, y: LatticeVector) -> LatticeVector:
+def shift(g: LinearConstraint, y: LatticeVector) -> LatticeVector:
     """Moment vector of the constraint-shifted functional:
 
         z_I = sum over K in the support of g of g_K * y_{I union K}
+
+    The support of a linear g is the empty set, with the constant, and
+    the singletons {i}, each with its weight.
     """
     if y.kind != MOMENTS:
         raise LatticeError("shift expects a moment vector")
     if g.n != y.n:
         raise LatticeError("constraint and vector over different ground sets")
     dense = y.to_dense()
-    support = [(mask, g.coefficient(mask)) for mask in g.support()]
+    support = [(0, g.constant)] + [(1 << (i - 1), wi) for i, wi in g.weights.items()]
     out = []
     for mask in range(1 << y.n):
         acc = Fraction(0)
@@ -169,7 +171,7 @@ class DistributionExtraction:
 
 
 def extract_distribution(
-    y: LatticeVector, constraints: Sequence[ConstraintPolynomial] = ()
+    y: LatticeVector, constraints: Sequence[LinearConstraint] = ()
 ) -> DistributionExtraction:
     """Express y as a weighted average of 0/1 indicator solutions.
 
@@ -193,7 +195,10 @@ def extract_distribution(
                 False, None, (SubsetIndex(mask, y.n), val), "negative-weight"
             )
         for g in constraints:
-            gval = g.value_at(mask)
+            gval = g.constant + sum(
+                (wi for i, wi in g.weights.items() if mask >> (i - 1) & 1),
+                Fraction(0),
+            )
             if gval < 0:
                 return DistributionExtraction(
                     False,

@@ -17,8 +17,8 @@ import pytest
 from momentcert import (
     MOMENTS,
     PSEUDO_PROBABILITIES,
-    ConstraintPolynomial,
     LatticeVector,
+    LinearConstraint,
     SubsetIndex,
     assemble,
     build_mkp,
@@ -450,7 +450,7 @@ def test_criterion_7_five_pivot_replay(capsys):
 
 def test_criterion_8_scheduling_family(capsys):
     started = time.monotonic()
-    pstar = find_min_feasible_P(4, 2)
+    pstar = find_min_feasible_P(4, 2).instance.P
     # golden recorded on the first run of the search
     assert pstar == 14
     report = verify_schedule(build_schedule(4, 2, pstar))
@@ -505,7 +505,7 @@ def test_criterion_9_property_suites(capsys):
         n = rng.randint(1, 5)
         w = random_moments(n, rng)
         weights = {i + 1: F(rng.randint(-3, 3)) for i in range(n)}
-        g = ConstraintPolynomial.linear(
+        g = LinearConstraint(
             n, weights, constant=F(rng.randint(-2, 2), rng.randint(1, 3))
         )
         assert constraint_diagonal(g, w) == to_pseudo_probabilities(shift(g, w))

@@ -505,6 +505,34 @@ def test_gap_schedule_find_min_p(tmp_path, capsys):
     assert read(out)["instance"]["params"]["P"] == "14"
 
 
+def test_gap_schedule_find_min_p_decides_each_covering_once(tmp_path, monkeypatch):
+    # Each covering is decided right after _covering_orbits builds it, so
+    # the last (P, level) built names the matrix that decide_orbits decides.
+    import momentcert.gaps
+    import momentcert.orbits
+
+    built, decided = [], {}
+    covering_orbits = momentcert.gaps._covering_orbits
+    decide_orbits = momentcert.orbits.decide_orbits
+
+    def counting_orbits(instance, level):
+        built.append((instance.P, level))
+        return covering_orbits(instance, level)
+
+    def counting_decide(*args):
+        decided[built[-1]] = decided.get(built[-1], 0) + 1
+        return decide_orbits(*args)
+
+    monkeypatch.setattr(momentcert.gaps, "_covering_orbits", counting_orbits)
+    monkeypatch.setattr(momentcert.orbits, "decide_orbits", counting_decide)
+    out = tmp_path / "report.json"
+    argv = ["gap", "schedule", "--n", "4", "--k", "2", "--find-min-p", "--out", str(out)]
+    assert main(argv) == 0
+    assert read(out)["instance"]["params"]["P"] == "14"
+    assert {level for P, level in decided if P == 14} == {1, 2, 3, 4}
+    assert max(decided.values()) == 1, decided
+
+
 def test_gap_schedule_find_min_p_certifies_level_3_at_k_1(tmp_path):
     # n = 4, k = 1 certifies level 3; its coverings have 697 dense rows, and
     # the search decides them by orbit blocks in a fresh process.

@@ -326,14 +326,16 @@ def test_schedule_demands_and_deadlines():
 
 
 def test_schedule_covering_is_the_scaled_raw_constraint():
+    # The raw covering weighs the jobs of group i <= level by P^i against
+    # the demand D_level; the library's constraint is it over P^level.
     instance = build_schedule(3, 1, 5)
     for level in (1, 2, 3):
         scaled = instance.covering_constraint(level)
-        raw = instance.raw_covering_constraint(level)
         factor = instance.P**level
-        assert scaled.support() == raw.support()
-        for mask in raw.support():
-            assert scaled.coefficient(mask) * factor == raw.coefficient(mask)
+        groups = range(1, level + 1)
+        raw = {v: instance.P**i for i in groups for v in instance.group_members(i)}
+        assert {v: wv * factor for v, wv in scaled.weights.items()} == raw
+        assert scaled.constant * factor == -instance.demands[level - 1]
 
 
 def test_schedule_solution_is_uniform_up_to_the_cap():
@@ -385,12 +387,17 @@ def test_verify_schedule_below_the_threshold_fails():
 
 
 def test_find_min_feasible_base_golden():
-    assert find_min_feasible_P(4, 2) == 14
+    assert find_min_feasible_P(4, 2).instance.P == 14
+
+
+def test_find_min_feasible_base_reports_as_verify_schedule_does():
+    found = find_min_feasible_P(4, 2).to_json_dict()
+    assert found == verify_schedule(build_schedule(4, 2, 14)).to_json_dict()
 
 
 @pytest.mark.parametrize("n, k, pstar", [(2, 1, 6), (3, 1, 31), (4, 4, 5)])
 def test_find_min_feasible_base_goldens_agree_with_the_dense_decider(n, k, pstar):
-    assert find_min_feasible_P(n, k) == pstar
+    assert find_min_feasible_P(n, k).instance.P == pstar
     # The dense decider finds a NotPSD covering one below the golden, none at it.
     below = [c.verdict for c in covering_certificates(build_schedule(n, k, pstar - 1))]
     at = [c.verdict for c in covering_certificates(build_schedule(n, k, pstar))]

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from momentcert import (
     MOMENTS,
     PSEUDO_PROBABILITIES,
-    ConstraintPolynomial,
     LatticeError,
     LatticeVector,
+    LinearConstraint,
     SubsetIndex,
     enumerate_subsets,
     from_pseudo_probabilities,
@@ -57,7 +57,6 @@ def test_rat_str_is_canonical():
 
 def test_subset_members_and_text_roundtrip():
     s = SubsetIndex(0b101, 3)
-    assert s.members() == (1, 3)
     assert str(s) == "{1,3}"
     assert SubsetIndex.parse("{1,3}", 3) == s
     assert SubsetIndex.parse("{}", 3) == SubsetIndex(0, 3)
@@ -153,7 +152,7 @@ def test_check_subset_count_refuses_only_above_the_limit():
 
 def test_subset_ordering_matches_graded_enumeration():
     index = enumerate_subsets(4, 4)
-    assert index == sorted(index)
+    assert index == sorted(index, key=SubsetIndex.sort_key)
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +163,7 @@ def test_subset_ordering_matches_graded_enumeration():
 def test_vector_zero_default_and_eq():
     v = LatticeVector(3, MOMENTS, {0b001: "1/2"})
     assert v.get(0b010) == 0
-    assert v.get(SubsetIndex(0b001, 3)) == F(1, 2)
+    assert v.get(0b001) == v[0b001] == F(1, 2)
     w = LatticeVector(3, MOMENTS, {0b001: F(1, 2), 0b100: 0})
     assert v == w
     assert v != LatticeVector(3, PSEUDO_PROBABILITIES, {0b001: "1/2"})
@@ -367,25 +366,25 @@ def test_transform_kind_checks():
 
 
 # ---------------------------------------------------------------------------
-# constraint polynomials
+# linear constraints
 # ---------------------------------------------------------------------------
 
 
 def test_linear_constraint_values():
-    g = ConstraintPolynomial.linear(3, {1: 1, 2: 1, 3: 1}, constant="-1/4")
-    assert g.value_at(0) == F(-1, 4)
-    assert g.value_at(0b101) == F(7, 4)
-    assert g.coefficient(0b001) == 1
-    assert g.coefficient(0b011) == 0
-    assert g.support() == [0b000, 0b001, 0b010, 0b100]
+    g = LinearConstraint(3, {1: 1, 2: "1/2", 3: 1}, constant="-1/4")
+    assert g.constant == F(-1, 4)
+    assert g.weights == {1: 1, 2: F(1, 2), 3: 1}
+    # L = 4; g({}) = -1/4 and g({1,3}) = 7/4, g({1,2}) = 5/4
+    assert g.scaled_values([0, 0b101, 0b011]) == (4, [-1, 7, 5])
 
 
 def test_constraint_drops_zero_coefficients():
-    g = ConstraintPolynomial(2, {0b01: 0, 0b10: "1"})
-    assert g.support() == [0b10]
-    assert g == ConstraintPolynomial(2, {0b10: 1})
+    g = LinearConstraint(2, {1: 0, 2: "1"})
+    assert g.weights == {2: 1}
+    assert g == LinearConstraint(2, {2: 1})
+    assert g != LinearConstraint(2, {2: 1}, constant=1)
 
 
 def test_constraint_rejects_out_of_range_elements():
     with pytest.raises(LatticeError):
-        ConstraintPolynomial.linear(2, {3: 1})
+        LinearConstraint(2, {3: 1})

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from momentcert import (
     MOMENTS,
     PSEUDO_PROBABILITIES,
-    ConstraintPolynomial,
     LatticeError,
     LatticeVector,
+    LinearConstraint,
     constraint_diagonal,
     enumerate_subsets,
     from_pseudo_probabilities,
@@ -38,19 +38,19 @@ def random_moments(n, rng):
 def test_shift_frozen_example():
     # g = x1 + x2 - 1/4 against the two-coin moments: z_I picks up both
     # singleton extensions of I minus a quarter of y_I.
-    g = ConstraintPolynomial.linear(2, {1: 1, 2: 1}, constant="-1/4")
+    g = LinearConstraint(2, {1: 1, 2: 1}, constant="-1/4")
     z = shift(g, TWO_COINS)
     assert z.to_dense() == [F(3, 4), F(5, 8), F(5, 8), F(7, 16)]
 
 
 def test_shift_by_one_is_identity():
-    g = ConstraintPolynomial(3, {0: 1})
+    g = LinearConstraint(3, {}, constant=1)
     w = random_moments(3, random.Random(7))
     assert shift(g, w) == w
 
 
 def test_shift_requires_moment_kind():
-    g = ConstraintPolynomial(2, {0: 1})
+    g = LinearConstraint(2, {}, constant=1)
     with pytest.raises(LatticeError):
         shift(g, to_pseudo_probabilities(TWO_COINS))
 
@@ -164,13 +164,36 @@ def test_constraint_diagonal_equals_pseudo_of_shift():
         n = rng.randint(1, 5)
         w = random_moments(n, rng)
         weights = {i + 1: F(rng.randint(-3, 3)) for i in range(n)}
-        g = ConstraintPolynomial.linear(n, weights, constant=F(rng.randint(-2, 2)))
+        g = LinearConstraint(n, weights, constant=F(rng.randint(-2, 2)))
         assert constraint_diagonal(g, w) == to_pseudo_probabilities(shift(g, w))
+
+
+@st.composite
+def linear_constraints_and_moments(draw):
+    n = draw(st.integers(1, 6))
+    values = st.fractions(min_value=-4, max_value=4, max_denominator=7)
+    weights = {i: draw(values | st.just(F(0))) for i in range(1, n + 1)}
+    g = LinearConstraint(n, weights, constant=draw(values))
+    moments = draw(st.lists(values, min_size=1 << n, max_size=1 << n))
+    return g, LatticeVector.from_dense(n, MOMENTS, moments)
+
+
+@settings(max_examples=80, deadline=None)
+@given(linear_constraints_and_moments())
+def test_constraint_diagonal_matches_the_dense_shift(case):
+    g, w = case
+    assert constraint_diagonal(g, w) == to_pseudo_probabilities(shift(g, w))
+    n = g.n
+    for bad in ({0: 1}, {n + 1: 1}, {1: 0.5}, {1: True}):
+        with pytest.raises(LatticeError):
+            LinearConstraint(n, bad)
+    with pytest.raises(LatticeError):
+        LinearConstraint(n, {}, constant=False)
 
 
 def test_constraint_diagonal_accepts_pseudo_input():
     w = random_moments(3, random.Random(5))
-    g = ConstraintPolynomial.linear(3, {1: 2, 3: -1}, constant=1)
+    g = LinearConstraint(3, {1: 2, 3: -1}, constant=1)
     via_moments = constraint_diagonal(g, w)
     via_pseudo = constraint_diagonal(g, to_pseudo_probabilities(w))
     assert via_moments == via_pseudo
@@ -209,10 +232,10 @@ def test_extract_flags_negative_weight():
 
 def test_extract_checks_constraints_on_support():
     w = TWO_COINS
-    g = ConstraintPolynomial.linear(2, {1: 1, 2: 1}, constant=-2)
+    g = LinearConstraint(2, {1: 1, 2: 1}, constant=-2)
     res = extract_distribution(w, [g])
     assert not res.ok
     ok_res = extract_distribution(
-        w, [ConstraintPolynomial.linear(2, {1: 1, 2: 1}, constant=0)]
+        w, [LinearConstraint(2, {1: 1, 2: 1}, constant=0)]
     )
     assert ok_res.ok

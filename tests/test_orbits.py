@@ -163,7 +163,7 @@ def test_covering_witnesses_hold_past_the_dense_oracle(P):
 
 def test_weight_base_threshold_at_n4_k1_is_326_by_two_routes():
     started = time.monotonic()
-    assert find_min_feasible_P(4, 1) == 326
+    assert find_min_feasible_P(4, 1).instance.P == 326
     assert time.monotonic() - started < 60
 
     # P = 325: the NotPSD covering's witness, on the 697-row matrix that
