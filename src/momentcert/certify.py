@@ -17,12 +17,14 @@ T = I + sum_i m_i E_{i,s} and D the diagonal,
 and a rank-one term c u u^T maps to c (T u)(T u)^T, so a pivot resets one
 diagonal entry, maps the term vectors and appends at most one new term.
 Term vectors are integer vectors over one denominator, and the pivot maps
-them fraction-free; the diagonal and the disks stay Fractions, and no
-float enters. gershgorin reads the disks of a form, and of a pivot
-state's stage (the diagonal plus the folded terms) through the same
-reader: in closed form while no row is touched by two terms, and
-otherwise from the integer triangle that assemble also starts from
-(adf.rank_one_triangle), with one Fraction per center and per radius.
+them fraction-free; the diagonal stays Fractions, and no float enters.
+gershgorin reads the disks of a form, and of a pivot state's stage (the
+diagonal plus the folded terms) through the same reader: in closed form
+while no row is touched by two terms, and otherwise from the integer
+triangle that assemble also starts from (adf.rank_one_triangle). The
+report holds every center and radius as an integer numerator over one
+denominator, so margins, the worst-row order and the disk text are read
+from integers, and no Fraction is built per row.
 
 When no pivot sequence settles the question, is_psd_exact decides it by
 exact symmetric elimination on integer rows, each over its own
@@ -92,30 +94,52 @@ def quad_eval(rows: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> Frac
 
 @dataclass
 class GershgorinReport:
-    """Disk centers (diagonal) and radii (row sums of absolute off-diagonals)."""
+    """Disks as integer numerators over one positive denominator.
 
-    centers: list[Fraction]
-    radii: list[Fraction]
+    Row i's center (its diagonal entry) is cnum[i] / den and its radius
+    (the sum of its absolute off-diagonal entries) rnum[i] / den. Margins
+    and their order are read on the integers; centers and radii are
+    Fraction views built on each read.
+    """
+
+    cnum: list[int]
+    rnum: list[int]
+    den: int
+
+    @property
+    def centers(self) -> list[Fraction]:
+        return [Fraction(c, self.den) for c in self.cnum]
+
+    @property
+    def radii(self) -> list[Fraction]:
+        return [Fraction(r, self.den) for r in self.rnum]
+
+    @cached_property
+    def margins(self) -> list[int]:
+        """Each row's center minus radius, as a numerator over den."""
+        return [c - r for c, r in zip(self.cnum, self.rnum)]
 
     @property
     def all_nonnegative(self) -> bool:
-        return self.margin() >= 0
-
-    @cached_property
-    def margins(self) -> list[Fraction]:
-        """Each row's center minus radius, computed on first read."""
-        return [c - r for c, r in zip(self.centers, self.radii)]
+        return min(self.margins, default=0) >= 0
 
     def margin(self) -> Fraction:
         """Smallest center minus radius; nonnegative means every disk passes."""
-        return min(self.margins, default=Fraction(0))
+        return Fraction(min(self.margins, default=0), self.den)
 
     def rows_json(self, labels: Union[Sequence[str], None] = None) -> list[dict]:
+        """One entry per row, each value the rat_str text of its numerator over den."""
         if labels is None:
-            labels = [str(k) for k in range(len(self.centers))]
+            labels = [str(k) for k in range(len(self.cnum))]
+        den = self.den
+
+        def text(x: int) -> str:
+            g = math.gcd(x, den)
+            return str(x // g) if g == den else f"{x // g}/{den // g}"
+
         return [
-            {"row": lab, "center": rat_str(c), "radius": rat_str(r)}
-            for lab, c, r in zip(labels, self.centers, self.radii)
+            {"row": lab, "center": text(c), "radius": text(r)}
+            for lab, c, r in zip(labels, self.cnum, self.rnum)
         ]
 
 
@@ -135,17 +159,23 @@ def gershgorin(
     return _row_disks(_check_symmetric(source))
 
 
+def _over(values: Sequence[Fraction], den: int) -> list[int]:
+    """The numerators of values over den, a multiple of each denominator."""
+    return [v.numerator * (den // v.denominator) for v in values]
+
+
 def _form_disks(form: AlmostDiagonalForm) -> GershgorinReport:
     """Disks of a form, none of its cells built.
 
     While no row is touched by two terms they are read in closed form
     from each term's num over den: a row that the term (c, u) touches has
     center D_i + c u_i^2 and radius |c u_i| (|u|_1 - |u_i|), and an
-    untouched row has center D_i and radius 0. Otherwise they are read
-    from the integer triangle U over L of the terms (rank_one_triangle):
-    row i's center is D_i + U_ii / L and its radius the sum of |U_ij| over
-    row and column i of U, over L. Either way one Fraction per center and
-    per radius.
+    untouched row has center D_i and radius 0; the report's denominator
+    is the lcm of the diagonal's and of every c.denominator * den^2.
+    Otherwise they are read from the integer triangle U over L of the
+    terms (rank_one_triangle) over the lcm of L and the diagonal's
+    denominators: row i's center is D_i + U_ii / L and its radius the sum
+    of |U_ij| over row and column i of U, over L.
     """
     nonzeros: list[list[tuple[int, int]]] = []
     touched: set[int] = set()
@@ -156,31 +186,36 @@ def _form_disks(form: AlmostDiagonalForm) -> GershgorinReport:
         touched.update(k for k, _ in nz)
         nonzeros.append(nz)
     else:  # no row is touched by two terms
-        centers = list(form.diag)
-        radii = [Fraction(0)] * len(centers)
-        for term, nz in zip(form.terms, nonzeros):
-            a, b = term.coefficient.numerator, term.coefficient.denominator * term.den ** 2
+        scaled = [(t.coefficient.numerator, t.coefficient.denominator * t.den ** 2, nz)
+                  for t, nz in zip(form.terms, nonzeros)]
+        den = math.lcm(*(d.denominator for d in form.diag), *(q for _, q, _ in scaled))
+        cnum = _over(form.diag, den)
+        rnum = [0] * len(cnum)
+        for a, q, nz in scaled:
+            m = a * (den // q)
             l1 = sum(abs(v) for _, v in nz)
             for k, v in nz:
-                centers[k] += Fraction(a * v * v, b)
-                radii[k] = Fraction(abs(a * v) * (l1 - abs(v)), b)
-        return GershgorinReport(centers, radii)
+                cnum[k] += m * v * v
+                rnum[k] = abs(m * v) * (l1 - abs(v))
+        return GershgorinReport(cnum, rnum, den)
     L, upper = rank_one_triangle(form)
+    den = math.lcm(L, *(d.denominator for d in form.diag))
+    m = den // L
     return GershgorinReport(
-        [d + Fraction(row[i], L) if row[i] else d
-         for i, (d, row) in enumerate(zip(form.diag, upper))],
-        [Fraction(sum(map(abs, row)) + sum(map(abs, col)) - 2 * abs(row[i]), L)
+        [c + m * row[i] for i, (c, row) in enumerate(zip(_over(form.diag, den), upper))],
+        [m * (sum(map(abs, row)) + sum(map(abs, col)) - 2 * abs(row[i]))
          for i, (row, col) in enumerate(zip(upper, zip(*upper)))],
+        den,
     )
 
 
 def _row_disks(rows: Matrix) -> GershgorinReport:
-    """Disks of a symmetric matrix read row by row."""
-    return GershgorinReport(
-        [row[i] for i, row in enumerate(rows)],
-        [sum((abs(v) for k, v in enumerate(row) if v and k != i), Fraction(0))
-         for i, row in enumerate(rows)],
-    )
+    """Disks of a symmetric matrix read row by row, then put over one denominator."""
+    centers = [row[i] for i, row in enumerate(rows)]
+    radii = [sum((abs(v) for k, v in enumerate(row) if v and k != i), Fraction(0))
+             for i, row in enumerate(rows)]
+    den = math.lcm(*(v.denominator for v in centers + radii))
+    return GershgorinReport(_over(centers, den), _over(radii, den), den)
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +414,10 @@ def is_psd_exact(rows: Sequence[Sequence[Fraction]]) -> PsdCertificate:
     offending entry. Each step records its row multipliers
     -S_ip / S_pp = -B_pi / d as integers, and only a NotPSD verdict
     rebuilds the witness from them, in the original coordinates.
+
+    Entries may be Fractions or ints: both are read through
+    as_integer_ratio, so integer rows (the orbit blocks') are taken as
+    they are.
     """
     if any(len(row) != len(rows) for row in rows):
         raise CertifyError("matrix is not square")

@@ -178,24 +178,23 @@ def knapsack_constraint(n: int, P: RationalLike) -> LinearConstraint:
 def knapsack_solution(n: int, P: RationalLike) -> LatticeVector:
     """Closed-form pseudo-probabilities 2^n / (P|I| - 1) on nonempty I.
 
+    The value depends on |I| only, so it is computed once per size s and
+    the nonempty mass summed as sum_s C(n, s) 2^n / (Ps - 1).
     The empty set receives whatever is left of total mass one; when that
     leftover is negative the parameters cannot carry the solution and
     InfeasibleParametersError is raised. P >= 2^(2n+1) always suffices.
     """
     Pq = build_knapsack(n, P).P
     scale = Fraction(1 << n)
-    entries: dict[int, Fraction] = {}
-    total = Fraction(0)
-    for mask in range(1, 1 << n):
-        val = scale / (Pq * mask.bit_count() - 1)
-        entries[mask] = val
-        total += val
+    by_size = [Fraction(0)] + [scale / (Pq * s - 1) for s in range(1, n + 1)]
+    total = sum((comb(n, s) * val for s, val in enumerate(by_size)), Fraction(0))
     rest = 1 - total
     if rest < 0:
         raise InfeasibleParametersError(
             f"nonempty subsets already carry mass {rat_str(total)} > 1 "
             f"at n={n}, P={rat_str(Pq)}"
         )
+    entries = {mask: by_size[mask.bit_count()] for mask in range(1, 1 << n)}
     entries[0] = rest
     return LatticeVector(n, PSEUDO_PROBABILITIES, entries)
 
@@ -301,7 +300,8 @@ def trace_bound_check(n: int, P: RationalLike, y: LatticeVector) -> TraceBoundRe
     # The trace is the sum of the disk centers: the pivot keeps
     # sigma (e_s + m)(e_s + m)^T as a folded term, so the state's diagonal
     # alone would miss sigma * |e_s + m|^2.
-    trace = sum(gershgorin(state).centers, Fraction(0))
+    disks = gershgorin(state)
+    trace = Fraction(sum(disks.cnum), disks.den)
 
     # z_empty is the superset sum of the shifted pseudo-probabilities at {}.
     z_empty = sum((val for _, val in zp.items()), Fraction(0))

@@ -95,15 +95,17 @@ def _orbit_terms(n: int, k: int, i: int, ip: int) -> tuple[tuple[int, int], ...]
 
 def block_matrix(
     sizes: Sequence[int], block: OrbitBlock, moment: Callable[[tuple[int, ...]], Rational]
-) -> list[list[Fraction]]:
+) -> list[list[Rational]]:
     """Rows of B_k, with m read through moment (callers may memoize it).
 
-    B_k is symmetric (each orbit's C(n_j - 2k_j, i_j - k_j) C(i_j - k_j, r_j)
+    Each entry is the plain sum of coefficient times moment, so integer
+    moments give int rows, which is_psd_exact reads as they are. B_k is
+    symmetric (each orbit's C(n_j - 2k_j, i_j - k_j) C(i_j - k_j, r_j)
     C(n_j - k_j - i_j, i'_j - k_j - r_j) is a multinomial symmetric in i_j
     and i'_j), so only the upper triangle is summed.
     """
     size = len(block.levels)
-    rows: list[list[Fraction]] = [[Fraction(0)] * size for _ in range(size)]
+    rows: list[list[Rational]] = [[0] * size for _ in range(size)]
     for r, i in enumerate(block.levels):
         for col, ip in enumerate(block.levels[r:], start=r):
             lists = [_orbit_terms(n, kj, a, b) for n, kj, a, b in zip(sizes, block.k, i, ip)]
@@ -111,7 +113,7 @@ def block_matrix(
             for combo in product(*lists):
                 coef = prod(v for _, v in combo)
                 total += coef * moment(tuple(c for c, _ in combo))
-            rows[r][col] = rows[col][r] = Fraction(total)
+            rows[r][col] = rows[col][r] = total
     return rows
 
 

@@ -36,6 +36,7 @@ from momentcert import (
 )
 
 import oracle_ref
+import rank_one_ref
 from psd_minors import principal_minors_psd
 from rank_one_ref import add_rank_one, dense
 
@@ -327,6 +328,67 @@ def test_pivot_chains_keep_terms_as_integers_over_one_denominator(form, fold_fir
         pivot_reduce(state, J, state.index[s])
         assert stage(state, remaining=True) == matmul(matmul(T, before), [list(c) for c in zip(*T)])
         assert_integer_terms(state)
+
+
+@st.composite
+def integer_term_forms(draw):
+    """Forms whose terms are integer vectors over random denominators.
+
+    The diagonal holds zero, negative and positive rationals, and the
+    coefficients carry either sign. With disjoint supports the disks are
+    read in closed form; otherwise the supports may overlap, and they are
+    read from the integer triangle.
+    """
+    size = draw(st.integers(1, 7))
+    rational = st.builds(F, st.integers(-9, 9), st.integers(1, 12))
+    diag = draw(st.lists(st.one_of(st.just(F(0)), rational), min_size=size, max_size=size))
+    disjoint = draw(st.booleans())
+    free = list(range(size))
+    terms = []
+    for j in range(draw(st.integers(0, 4))):
+        support = draw(st.sets(st.sampled_from(free or [0]), min_size=1, max_size=3))
+        if disjoint:
+            support &= set(free)
+            free = [k for k in free if k not in support]
+        num = [draw(st.integers(-9, 9).filter(bool)) if k in support else 0 for k in range(size)]
+        coeff = draw(st.builds(F, st.integers(-5, 5), st.integers(1, 6)))
+        terms.append(RankOneTerm.scaled(SubsetIndex(j, 3), coeff, num, draw(st.integers(1, 30))))
+    return AlmostDiagonalForm(3, 1, [SubsetIndex(k, 3) for k in range(size)], diag, terms)
+
+
+def assert_report_matches(report, ref, index):
+    """The integer report reads as the Fraction reference does, reading for reading."""
+    assert report.den > 0 and all(type(x) is int for x in report.cnum + report.rnum)
+    assert (report.centers, report.radii) == (ref.centers, ref.radii)
+    assert [F(m, report.den) for m in report.margins] == ref.margins
+    assert report.margin() == ref.margin()
+    assert report.all_nonnegative == ref.all_nonnegative
+
+    def worst_first(r):
+        return sorted(range(len(index)), key=lambda i: (r.margins[i], index[i].sort_key()))
+
+    assert worst_first(report) == worst_first(ref)
+    labels = [str(s) for s in index]
+    assert report.rows_json(labels) == ref.rows_json(labels)
+    assert report.rows_json() == ref.rows_json()
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_term_forms(), st.integers(0, 3), st.booleans(), st.data())
+def test_disk_report_matches_the_fraction_reference(form, pivots, fold, data):
+    assert_report_matches(gershgorin(form), rank_one_ref.form_disks(form), form.index)
+    rows = assemble(form)
+    assert_report_matches(gershgorin(rows), rank_one_ref.row_disks(rows), form.index)
+    state = PivotState(form)
+    for _ in range(pivots):
+        candidates = [(t.J, i) for t in state.terms for i, v in enumerate(t.num) if v]
+        if not candidates:
+            break
+        J, s = data.draw(st.sampled_from(candidates))
+        pivot_reduce(state, J, state.index[s])
+        if fold:
+            state.fold_negative_terms()
+        assert_report_matches(gershgorin(state), rank_one_ref.form_disks(state.stage()), state.index)
 
 
 # ---------------------------------------------------------------------------

@@ -108,6 +108,18 @@ def test_orbit_blocks_decide_invariant_moment_matrices(case):
         assert cert.witness is None
 
 
+@settings(max_examples=60, deadline=None)
+@given(invariant_moments())
+def test_integer_block_rows_decide_as_their_fractions_do(case):
+    orbits, n, t, moment = case
+    sizes = tuple(len(orbit) for orbit in orbits)
+    for block in orbit_blocks(sizes, t):
+        rows = block_matrix(sizes, block, moment)
+        assert all(type(v) is int for row in rows for v in row)
+        got, want = is_psd_exact(rows), is_psd_exact([[F(v) for v in row] for row in rows])
+        assert (got.verdict, got.witness) == (want.verdict, want.witness)
+
+
 # ---------------------------------------------------------------------------
 # the schedule coverings
 # ---------------------------------------------------------------------------
@@ -186,4 +198,5 @@ def test_weight_base_threshold_at_n4_k1_is_326_by_two_routes():
         orbits, moment = _covering_orbits(at, level)
         sizes = tuple(len(orbit) for orbit in orbits)
         for block in orbit_blocks(sizes, 3):
-            assert oracle_ref.is_psd_exact(block_matrix(sizes, block, moment)).verdict == "PSD"
+            rows = [[F(v) for v in row] for row in block_matrix(sizes, block, moment)]
+            assert oracle_ref.is_psd_exact(rows).verdict == "PSD"

@@ -1,4 +1,4 @@
-"""Wall time of the oracle, decide_form, the pivot recipe, assemble, the orbit blocks, the lattice transforms and the artifact writer.
+"""Wall time of the oracle, decide_form, the pivot recipe, the disk reading, assemble, the orbit blocks, the lattice transforms and the artifact writer.
 
     python3 tools/oracle_timing.py
 
@@ -94,6 +94,17 @@ is the median over 3 runs of the summed time inside those two functions
 (the oracle fallback is not counted). The line ends with deterministic
 counters of one run: the pivots, the readings, and the folded terms summed
 over the readings.
+
+Three disks lines time one disk reading as the recipe makes it:
+gershgorin on a pivot state, then margin() and rows_json on its report,
+the labels read beforehand. The states are the n = 6 and n = 7 knapsack
+coverings after fold_top (the pivot of the top term into the empty-set
+row and the fold of the negative terms), and the first state of the
+greedy recipe on the mkp form above (its negative terms folded). The
+size is the state's, the bits column is "-", the verdict is "pass" when
+every disk passes and "fail" otherwise, and the seconds column is the
+median of 21 runs. The line ends with deterministic counters: the rows
+and the bit length of the report's one denominator.
 """
 
 from __future__ import annotations
@@ -311,9 +322,36 @@ def report_json_row(name: str, argv: list[str]) -> str:
             f" labels={labels} rationals={rationals}")
 
 
-def mkp_recipe_row() -> str:
+def mkp_form() -> AlmostDiagonalForm:
     instance = build_mkp(4, 3, Fraction(1, 16), 3)
-    form = from_pseudo(constraint_diagonal(instance.demand_constraint(1), instance.solution(1)), 1)
+    return from_pseudo(constraint_diagonal(instance.demand_constraint(1), instance.solution(1)), 1)
+
+
+def disks_row(name: str, state: certify.PivotState) -> str:
+    labels = state.labels()
+    times = []
+    for _ in range(21):
+        start = time.perf_counter()
+        report = certify.gershgorin(state)
+        report.margin()
+        report.rows_json(labels)
+        times.append(time.perf_counter() - start)
+    verdict = "pass" if report.all_nonnegative else "fail"
+    return (f"{name:<28} {len(labels):>5} {'-':>5} {verdict:>7} "
+            f"{statistics.median(times):>9.4f}  rows={len(report.cnum)} "
+            f"den_bits={report.den.bit_length()}")
+
+
+def folded_covering(n: int) -> certify.PivotState:
+    """The n-item knapsack covering's state after fold_top, as verify_knapsack_level reaches it."""
+    state = certify.PivotState(knapsack_covering(n))
+    certify.pivot_reduce(state, SubsetIndex((1 << n) - 1, n), SubsetIndex(0, n))
+    state.fold_negative_terms()
+    return state
+
+
+def mkp_recipe_row() -> str:
+    form = mkp_form()
     pivot, disks = certify.pivot_reduce, certify.gershgorin
     counts: dict[str, float] = {}
 
@@ -375,6 +413,11 @@ def main() -> int:
         print(adf_json_row(n), flush=True)
     print(adf_measure_row(9), flush=True)
     print(mkp_recipe_row(), flush=True)
+    for n in (6, 7):
+        print(disks_row(f"disks covering n={n}", folded_covering(n)), flush=True)
+    first = certify.PivotState(mkp_form())
+    first.fold_negative_terms()
+    print(disks_row("disks mkp 4x3 demand-1", first), flush=True)
     print(report_json_row("report-json knapsack n=6 k=2",
                           ["gap", "knapsack", "--n", "6", "--k", "2"]), flush=True)
     print(report_json_row("report-json schedule P=20",
