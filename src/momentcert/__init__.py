@@ -41,7 +41,6 @@ from .gaps import (
     KnapsackGapInstance,
     MkpInstance,
     ScheduleInstance,
-    TraceBoundReport,
     build_knapsack,
     build_mkp,
     build_schedule,
@@ -53,7 +52,6 @@ from .gaps import (
     mkp_uniform_solution,
     relaxation_objective,
     schedule_solution,
-    trace_bound_check,
     uniform_low_cardinality,
     verify_knapsack_level,
     verify_mkp,

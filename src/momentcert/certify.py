@@ -47,12 +47,18 @@ import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .adf import AlmostDiagonalForm, RankOneTerm, assemble, rank_one_triangle
 from .lattice import LatticeError, SubsetIndex, rat_str, subset_label
 
 Matrix = list[list[Fraction]]
+
+# Most cells the trace stages of one artifact may hold. Each cell is
+# written as a rational string: gap knapsack --trace at n = 8 has about
+# 196k cells and writes 15 MB, and at n = 9 about 784k cells and 73 MB,
+# growing 4x per n. The limit admits n = 8.
+MAX_TRACE_CELLS = 1 << 18
 
 
 class CertifyError(LatticeError):
@@ -63,16 +69,29 @@ class InvalidPivotError(CertifyError):
     """Requested pivot has a zero support entry at the pivot row."""
 
 
-def _check_symmetric(rows: Sequence[Sequence[Fraction]]) -> Matrix:
-    size = len(rows)
-    out = [list(r) for r in rows]
-    for i, row in enumerate(out):
-        if len(row) != size:
-            raise CertifyError("matrix is not square")
+def _integer_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], list[int]]:
+    """Row i of a raw matrix as integers B_i over a positive denominator q_i.
+
+    q_i is the lcm of the row's denominators; entries are read through
+    as_integer_ratio, so ints are taken as they are, and a float, which
+    has one too, is refused. The matrix is checked square first, and
+    symmetric on the integer rows as they are built (B_ij q_j == B_ji q_i).
+    """
+    if any(len(row) != len(rows) for row in rows):
+        raise CertifyError("matrix is not square")
+    B: list[list[int]] = []
+    q: list[int] = []
+    for i, row in enumerate(rows):
+        if any(type(v) is float for v in row):
+            raise CertifyError(f"matrix row {i} has a float entry")
+        ratios = [v.as_integer_ratio() for v in row]
+        den = math.lcm(*(e for _, e in ratios))
+        B.append([a * (den // e) for a, e in ratios])
+        q.append(den)
         for j in range(i):
-            if row[j] != out[j][i]:
+            if B[i][j] * q[j] != B[j][i] * den:
                 raise CertifyError(f"matrix is not symmetric at ({i},{j})")
-    return out
+    return B, q
 
 
 def quad_eval(rows: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> Fraction:
@@ -156,7 +175,7 @@ def gershgorin(
         source = source.stage()
     if isinstance(source, AlmostDiagonalForm):
         return _form_disks(source)
-    return _row_disks(_check_symmetric(source))
+    return _row_disks(*_integer_rows(source))
 
 
 def _over(values: Sequence[Fraction], den: int) -> list[int]:
@@ -209,13 +228,15 @@ def _form_disks(form: AlmostDiagonalForm) -> GershgorinReport:
     )
 
 
-def _row_disks(rows: Matrix) -> GershgorinReport:
-    """Disks of a symmetric matrix read row by row, then put over one denominator."""
-    centers = [row[i] for i, row in enumerate(rows)]
-    radii = [sum((abs(v) for k, v in enumerate(row) if v and k != i), Fraction(0))
-             for i, row in enumerate(rows)]
-    den = math.lcm(*(v.denominator for v in centers + radii))
-    return GershgorinReport(_over(centers, den), _over(radii, den), den)
+def _row_disks(B: list[list[int]], q: list[int]) -> GershgorinReport:
+    """Disks of the integer rows B_i over q_i, put over the lcm of the q_i."""
+    den = math.lcm(*q)
+    scale = [den // qi for qi in q]
+    return GershgorinReport(
+        [m * row[i] for i, (m, row) in enumerate(zip(scale, B))],
+        [m * (sum(map(abs, row)) - abs(row[i])) for i, (m, row) in enumerate(zip(scale, B))],
+        den,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +411,7 @@ class PsdCertificate:
         if self.witness is not None:
             out["witness"] = [rat_str(v) for v in self.witness]
         if include_trace:
+            check_trace_cells([self])
             out["trace"] = [
                 [[rat_str(v) for v in row] for row in mat]
                 for mat in self.trace_matrices
@@ -397,13 +419,21 @@ class PsdCertificate:
         return out
 
 
+def check_trace_cells(certificates: Iterable[PsdCertificate]) -> None:
+    """Refuse, before any stage is assembled, traces above MAX_TRACE_CELLS cells in all."""
+    cells = sum(form.size() ** 2 for cert in certificates for form in cert.snapshots)
+    if cells > MAX_TRACE_CELLS:
+        raise CertifyError(
+            f"the trace has {cells} stage cells, above the limit of {MAX_TRACE_CELLS}"
+        )
+
+
 def is_psd_exact(rows: Sequence[Sequence[Fraction]]) -> PsdCertificate:
     """Exact PSD decision by symmetric elimination on integer rows.
 
     Row i of the Schur complement is kept as integers B_i over a positive
-    denominator q_i, S_ij = B_ij / q_i, starting from the lcm of the row's
-    denominators. The input is checked square first, and symmetric on
-    those integer rows as they are built (B_ij q_j == B_ji q_i). A
+    denominator q_i, S_ij = B_ij / q_i, starting from the rows that
+    _integer_rows reads and checks square and symmetric. A
     negative diagonal at any point yields the witness e_r. Otherwise the
     pivot p is the first largest S_ii, compared by cross-multiplying, and
     with d = B_pp each row i with S_pi nonzero becomes d B_i - B_ip B_p
@@ -415,22 +445,10 @@ def is_psd_exact(rows: Sequence[Sequence[Fraction]]) -> PsdCertificate:
     -S_ip / S_pp = -B_pi / d as integers, and only a NotPSD verdict
     rebuilds the witness from them, in the original coordinates.
 
-    Entries may be Fractions or ints: both are read through
-    as_integer_ratio, so integer rows (the orbit blocks') are taken as
-    they are.
+    Entries may be Fractions or ints, so integer rows (the orbit
+    blocks') are taken as they are.
     """
-    if any(len(row) != len(rows) for row in rows):
-        raise CertifyError("matrix is not square")
-    B: list[list[int]] = []
-    q: list[int] = []
-    for i, row in enumerate(rows):
-        ratios = [v.as_integer_ratio() for v in row]
-        den = math.lcm(*(e for _, e in ratios))
-        B.append([a * (den // e) for a, e in ratios])
-        q.append(den)
-        for j in range(i):
-            if B[i][j] * q[j] != B[j][i] * den:
-                raise CertifyError(f"matrix is not symmetric at ({i},{j})")
+    B, q = _integer_rows(rows)
     active = list(range(len(B)))
     steps: list[tuple[int, int, list[tuple[int, int]]]] = []
     while active:

@@ -44,7 +44,12 @@ certify --gershgorin-only reads the disks once and stops, for a raw
 matrix (--matrix) and for an almost-diagonal form (--adf, read by the
 same form reader as a pivot stage) alike: PSD when every disk passes,
 Inconclusive (exit 1) otherwise. It never pivots and never calls the
-oracle, so it refuses a --schedule (exit 3), as a raw matrix does.
+oracle, so it refuses a --schedule (exit 3), as a raw matrix does. Its
+disk rows carry the form's subset labels, and a raw matrix's row numbers.
+
+--trace writes every pivot stage as a dense matrix. It exits 3 before
+any stage is assembled when the stages of the artifact hold more than
+certify.MAX_TRACE_CELLS cells in all.
 """
 
 from __future__ import annotations
@@ -230,6 +235,7 @@ def cmd_certify(args: argparse.Namespace) -> Outcome:
             verdict="PSD" if report.all_nonnegative else "Inconclusive",
             method="gershgorin-recipe",
             final_disks=report,
+            row_labels=None if form is None else [str(s) for s in form.index],
         )
     elif form is not None:
         schedule = None

@@ -25,23 +25,15 @@ the cheap fractional solution therefore pins down an integrality gap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
 from typing import Callable, Iterator, Union
 
-from .adf import AlmostDiagonalForm, RankOneTerm, decompose, from_pseudo
-from .certify import (
-    PivotState,
-    PsdCertificate,
-    certify_recipe,
-    decide_form,
-    gershgorin,
-    pivot_reduce,
-)
+from .adf import AlmostDiagonalForm, decompose, from_pseudo
+from .certify import PsdCertificate, certify_recipe, check_trace_cells, decide_form
 from .lattice import (
-    MOMENTS,
     PSEUDO_PROBABILITIES,
     LatticeError,
     LatticeVector,
@@ -55,7 +47,6 @@ from .lattice import (
     max_ground_size,
     rat,
     rat_str,
-    to_pseudo_probabilities,
 )
 from .moments import constraint_diagonal
 
@@ -99,6 +90,8 @@ class GapReport:
         raise GapError(f"no certificate for target {target!r}")
 
     def to_json_dict(self, include_trace: bool = False) -> dict:
+        if include_trace:
+            check_trace_cells(cert for _, cert in self.certificates)
         certs = []
         for label, cert in self.certificates:
             entry = {"target": label}
@@ -114,21 +107,6 @@ class GapReport:
         }
 
 
-@dataclass
-class TraceBoundReport:
-    """Trace of the pivoted covering matrix and the feasibility bound.
-
-    trace is exact; bound_holds says whether the empty-set
-    pseudo-probability stays below P * z_empty / (2^n - 2), and
-    matrix_psd records the oracle verdict that makes the bound binding.
-    """
-
-    trace: Fraction
-    bound_rhs: Fraction
-    bound_holds: bool
-    matrix_psd: bool
-
-
 # ---------------------------------------------------------------------------
 # knapsack family
 # ---------------------------------------------------------------------------
@@ -142,9 +120,6 @@ class KnapsackGapInstance:
     P: Fraction
 
     family = "knapsack"
-
-    def params(self) -> dict:
-        return {"n": self.n, "P": rat_str(self.P)}
 
     def solution(self, t: int) -> LatticeVector:
         """The closed-form solution; it is the same at every level t.
@@ -269,52 +244,6 @@ def verify_knapsack_level(n: int, P: RationalLike) -> GapReport:
     )
 
 
-def trace_bound_check(n: int, P: RationalLike, y: LatticeVector) -> TraceBoundReport:
-    """Trace identity and mass bound for the pivoted covering matrix.
-
-    For any moment vector y over n items, pivoting the top rank-one term
-    of the level-(n-1) covering form into the empty-set row leaves a
-    matrix whose trace is z_empty - (2^n - 2) * p_empty / P, with p the
-    pseudo-probabilities of y. A nonnegative trace is forced whenever
-    the matrix is PSD, which bounds p_empty by P * z_empty / (2^n - 2).
-    matrix_psd comes from decide_form, which drops the zero-coefficient top
-    term and decides the Schur complement onto the nonpositive diagonal
-    rows whenever those rows plus the terms are fewer than the rows.
-    """
-    if n < 2:
-        raise GapError(f"trace bound needs n >= 2, got {n}")
-    if y.kind != MOMENTS or y.n != n:
-        raise GapError("expected a moment vector over the instance items")
-    Pq = rat(P)
-    p = to_pseudo_probabilities(y)
-    zp = constraint_diagonal(knapsack_constraint(n, Pq), p)
-    form = from_pseudo(zp, n - 1)
-    ground = SubsetIndex((1 << n) - 1, n)
-    # The top term is kept even at coefficient zero, where from_pseudo drops
-    # it: the congruence that clears it is what produces the trace identity,
-    # fold or no fold.
-    if not form.terms:
-        form.terms.append(RankOneTerm(ground, Fraction(0), index=form.index))
-    state = PivotState(form)
-    pivot_reduce(state, ground, SubsetIndex(0, n))
-    # The trace is the sum of the disk centers: the pivot keeps
-    # sigma (e_s + m)(e_s + m)^T as a folded term, so the state's diagonal
-    # alone would miss sigma * |e_s + m|^2.
-    disks = gershgorin(state)
-    trace = Fraction(sum(disks.cnum), disks.den)
-
-    # z_empty is the superset sum of the shifted pseudo-probabilities at {}.
-    z_empty = sum((val for _, val in zp.items()), Fraction(0))
-    rhs = Pq * z_empty / ((1 << n) - 2)
-    oracle = decide_form(form)
-    return TraceBoundReport(
-        trace=trace,
-        bound_rhs=rhs,
-        bound_holds=p.get(0) <= rhs,
-        matrix_psd=oracle.verdict == "PSD",
-    )
-
-
 # ---------------------------------------------------------------------------
 # multi-knapsack family
 # ---------------------------------------------------------------------------
@@ -330,14 +259,6 @@ class MkpInstance:
     T: int
 
     family = "mkp"
-
-    def params(self) -> dict:
-        return {
-            "blocks": self.blocks,
-            "items_per_block": self.items_per_block,
-            "eps": rat_str(self.eps),
-            "T": self.T,
-        }
 
     def solution(self, t: int) -> LatticeVector:
         return mkp_uniform_solution(self, t)
@@ -451,9 +372,6 @@ class ScheduleInstance:
 
     family = "schedule"
 
-    def params(self) -> dict:
-        return {"n": self.n, "k": rat_str(self.k), "P": rat_str(self.P)}
-
     def solution(self, t: int) -> LatticeVector:
         """The uniform solution over P_{n/k}; it is the same at every level t."""
         return schedule_solution(self)
@@ -475,11 +393,6 @@ class ScheduleInstance:
             acc += self.P ** (j - 1)
             out.append(acc)
         return out
-
-    @property
-    def deadlines(self) -> list[Fraction]:
-        """d_l = n * sum_{j<=l} P^j - D_l, which is (n*P - 1) * D_l."""
-        return [(self.n * self.P - 1) * D for D in self.demands]
 
     def group_members(self, group: int) -> tuple[int, ...]:
         if not 1 <= group <= self.n:
@@ -685,33 +598,42 @@ def find_min_feasible_P(n: int, k: RationalLike) -> GapReport:
 Instance = Union["KnapsackGapInstance", "MkpInstance", "ScheduleInstance"]
 
 
+_FAMILIES = {
+    cls.family: (cls, build)
+    for cls, build in [
+        (KnapsackGapInstance, build_knapsack),
+        (MkpInstance, build_mkp),
+        (ScheduleInstance, build_schedule),
+    ]
+}
+
+
 def instance_to_json(instance: Instance) -> dict:
-    return {"family": instance.family, "params": instance.params()}
+    """The family and the dataclass fields: an int as itself, a Fraction as rat_str."""
+    params = {}
+    for f in fields(instance):
+        value = getattr(instance, f.name)
+        params[f.name] = value if f.type == "int" else rat_str(value)
+    return {"family": instance.family, "params": params}
 
 
 def instance_from_json(data: dict) -> Instance:
+    """The instance the family's build_* makes from the fields instance_to_json writes.
+
+    An int field is read by json_int and a Fraction field by rat, so a
+    malformed field raises GapError, as does an unknown family; the
+    checks of build_* raise as they are.
+    """
     try:
         family = data["family"]
         params = data["params"]
     except (KeyError, TypeError) as exc:
         raise GapError(f"malformed instance payload: {exc}") from exc
+    if not isinstance(family, str) or family not in _FAMILIES:
+        raise GapError(f"unknown instance family {family!r}")
+    cls, build = _FAMILIES[family]
     try:
-        if family == "knapsack":
-            return build_knapsack(json_int(params["n"]), rat(params["P"]))
-        if family == "mkp":
-            return build_mkp(
-                json_int(params["blocks"]),
-                json_int(params["items_per_block"]),
-                rat(params["eps"]),
-                json_int(params["T"]),
-            )
-        if family == "schedule":
-            return build_schedule(
-                json_int(params["n"]), rat(params["k"]), rat(params["P"])
-            )
-    except LatticeError:  # the builders' own errors, kept as raised
-        raise
+        args = [(json_int if f.type == "int" else rat)(params[f.name]) for f in fields(cls)]
     except (KeyError, TypeError, ValueError) as exc:
         raise GapError(f"malformed instance payload: {exc}") from exc
-    raise GapError(f"unknown instance family {family!r}")
-
+    return build(*args)

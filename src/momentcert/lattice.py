@@ -45,6 +45,12 @@ DEFAULT_MAX_GROUND = 24
 # dense matrix over P_t has at most 4096^2 cells.
 MAX_SUBSETS = 4096
 
+# Most entries a lattice transform stores: the full lattice at n = 14. The
+# down-closure it holds can double in each round, so a single full set
+# over n = 24 would need 2^24 entries; the tests' widest sparse inputs
+# (8 masks of at most 10 elements) need at most 8192.
+MAX_TRANSFORM_ENTRIES = 1 << 14
+
 
 class LatticeError(ValueError):
     """Invalid argument to a lattice operation."""
@@ -127,13 +133,6 @@ class SubsetIndex:
             raise LatticeError(f"ground size {self.n} out of range")
         if not 0 <= self.bits < (1 << self.n):
             raise LatticeError(f"bitmask {self.bits} out of range for n={self.n}")
-
-    @property
-    def cardinality(self) -> int:
-        return self.bits.bit_count()
-
-    def issubset(self, other: "SubsetIndex") -> bool:
-        return self.bits & ~other.bits == 0
 
     def sort_key(self) -> tuple[int, int]:
         return (self.bits.bit_count(), self.bits)
@@ -242,9 +241,8 @@ class LatticeVector:
 
     The entries are given as a mapping from int masks to rationals, and
     the store is a mask->value map of the nonzero ones; absent masks read
-    as zero. from_dense and to_dense convert to and from 2^n lists
-    of Fractions, and to_dict copies the map out for callers that read
-    many masks.
+    as zero, and to_dict copies the map out for callers that read many
+    masks.
     """
 
     __slots__ = ("n", "kind", "_entries")
@@ -264,14 +262,6 @@ class LatticeVector:
         values = {_mask_of(m, n): rat(v) for m, v in (entries or {}).items()}
         self._entries = {mask: q for mask, q in values.items() if q}
 
-    @classmethod
-    def from_dense(cls, n: int, kind: str, values: list[Fraction]) -> "LatticeVector":
-        if len(values) != (1 << n):
-            raise LatticeError("dense vector has wrong length")
-        vec = cls(n, kind)
-        vec._entries = {m: q for m, q in enumerate(map(rat, values)) if q}
-        return vec
-
     def get(self, mask: int) -> Fraction:
         return self._entries.get(_mask_of(mask, self.n), _ZERO)
 
@@ -286,12 +276,6 @@ class LatticeVector:
         """The nonzero entries as a new mask -> value dict."""
         return dict(self._entries)
 
-    def to_dense(self) -> list[Fraction]:
-        out = [Fraction(0)] * (1 << self.n)
-        for mask, val in self._entries.items():
-            out[mask] = val
-        return out
-
     def nonzero_count(self) -> int:
         return len(self._entries)
 
@@ -300,12 +284,6 @@ class LatticeVector:
             return NotImplemented
         mine = (self.n, self.kind, self._entries)
         return mine == (other.n, other.kind, other._entries)
-
-    def __repr__(self) -> str:
-        return (
-            f"LatticeVector(n={self.n}, kind={self.kind!r}, "
-            f"nonzero={self.nonzero_count()})"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +306,8 @@ def _superset_transform(
     mask without it, so after round b the keys are the masks below a
     support mask that differ from it only in bits 0..b. Every other
     entry of the dense pass is zero, and the cost is n times the size of
-    the down-closure.
+    the down-closure. A round that leaves more than MAX_TRANSFORM_ENTRIES
+    entries raises LatticeError before the next round can double them.
     """
     L = math.lcm(*(q.denominator for q in vec._entries.values()))
     a = {mask: q.numerator * (L // q.denominator) for mask, q in vec._entries.items()}
@@ -337,6 +316,11 @@ def _superset_transform(
         for mask in [m for m in a if m & bit]:
             low = mask ^ bit
             a[low] = op(a.get(low, 0), a[mask])
+        if len(a) > MAX_TRANSFORM_ENTRIES:
+            raise LatticeError(
+                f"the transform over n={vec.n} holds {len(a)} entries after round {b + 1}, "
+                f"above the limit of {MAX_TRANSFORM_ENTRIES}"
+            )
     out = LatticeVector(vec.n, kind)
     out._entries = {mask: Fraction(x, L) for mask, x in a.items() if x}
     return out

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .adf import AlmostDiagonalForm, from_pseudo
 from .certify import GershgorinReport, PsdCertificate, certify_recipe
@@ -113,42 +112,36 @@ def canonical_instance(eps: RationalLike) -> MkpInstance:
     return build_mkp(3, 2, eps, 2)
 
 
-def normalized_demand_form(
-    instance: MkpInstance, block: int = 1, t: int = 1
-) -> AlmostDiagonalForm:
-    """Block demand form rescaled so the uniform mass drops out.
+def normalized_demand_form(instance: MkpInstance) -> AlmostDiagonalForm:
+    """Block one's demand form at level 1, rescaled so the uniform mass drops out.
 
     Every pseudo-probability of the uniform solution is the same alpha,
     so dividing by it leaves the constraint evaluated at each subset.
     Rescaling by a positive constant does not move any verdict.
     """
-    p = mkp_uniform_solution(instance, t)
+    p = mkp_uniform_solution(instance, 1)
     count = p.nonzero_count()
-    zp = constraint_diagonal(instance.demand_constraint(block), p)
+    zp = constraint_diagonal(instance.demand_constraint(1), p)
     scaled = LatticeVector(
         instance.n_items,
         PSEUDO_PROBABILITIES,
         {mask: val * count for mask, val in zp.items()},
     )
-    return from_pseudo(scaled, t)
+    return from_pseudo(scaled, 1)
 
 
-def canonical_schedule(n_items: int = 6) -> list[tuple[SubsetIndex, SubsetIndex]]:
-    return [
-        (SubsetIndex.parse(h, n_items), SubsetIndex.parse(s, n_items))
-        for h, s in CANONICAL_PIVOTS
-    ]
+def canonical_schedule() -> list[tuple[SubsetIndex, SubsetIndex]]:
+    """CANONICAL_PIVOTS over the six items of the canonical instance."""
+    return [(SubsetIndex.parse(h, 6), SubsetIndex.parse(s, 6)) for h, s in CANONICAL_PIVOTS]
 
 
-def stage_matrices(
-    eps: RationalLike, tables: Sequence = REDUCTION_STAGES
-) -> list[Matrix]:
-    """Evaluate the symbolic stage tables at a rational eps.
+def stage_matrices(eps: RationalLike) -> list[Matrix]:
+    """Evaluate REDUCTION_STAGES at a rational eps.
 
     The table entries are ints, so each c + m * eps is already a Fraction.
     """
     e = rat(eps)
-    return [[[c + m * e for c, m in row] for row in stage] for stage in tables]
+    return [[[c + m * e for c, m in row] for row in stage] for stage in REDUCTION_STAGES]
 
 
 @dataclass

@@ -6,13 +6,17 @@ per group prefix). The tests check those statements against these
 enumerations. They also keep the lifted knapsack variant, one always-picked
 extra item with demand 1 + 1/P: its solution is the reduced solution
 lifted by lift_solution, and its lifted matrices are checked directly at
-small n.
+small n. trace_bound_check, the trace identity and mass bound of the
+pivoted knapsack covering form, is acceptance criterion 6's reference.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Union
 
+from momentcert.adf import RankOneTerm, from_pseudo
+from momentcert.certify import PivotState, decide_form, gershgorin, pivot_reduce
 from momentcert.gaps import (
     GapError,
     InfeasibleParametersError,
@@ -26,8 +30,12 @@ from momentcert.lattice import (
     LatticeVector,
     LinearConstraint,
     RationalLike,
+    SubsetIndex,
     max_ground_size,
+    rat,
+    to_pseudo_probabilities,
 )
+from momentcert.moments import constraint_diagonal
 
 # Largest ground set the brute-force integral optima will enumerate.
 BRUTE_FORCE_MAX_VARS = 20
@@ -68,6 +76,67 @@ def lift_solution(y: LatticeVector, t: int) -> LatticeVector:
     for mask, val in y.items():
         lifted[mask] = lifted[mask | new] = val
     return LatticeVector(n + 1, MOMENTS, lifted)
+
+
+@dataclass
+class TraceBoundReport:
+    """Trace of the pivoted covering matrix and the feasibility bound.
+
+    trace is exact; bound_holds says whether the empty-set
+    pseudo-probability stays below P * z_empty / (2^n - 2), and
+    matrix_psd records the oracle verdict that makes the bound binding.
+    """
+
+    trace: Fraction
+    bound_rhs: Fraction
+    bound_holds: bool
+    matrix_psd: bool
+
+
+def trace_bound_check(n: int, P: RationalLike, y: LatticeVector) -> TraceBoundReport:
+    """Trace identity and mass bound for the pivoted covering matrix.
+
+    For any moment vector y over n items, pivoting the top rank-one term
+    of the level-(n-1) covering form into the empty-set row leaves a
+    matrix whose trace is z_empty - (2^n - 2) * p_empty / P, with p the
+    pseudo-probabilities of y. A nonnegative trace is forced whenever
+    the matrix is PSD, which bounds p_empty by P * z_empty / (2^n - 2).
+    matrix_psd comes from decide_form, which drops the zero-coefficient top
+    term and decides the Schur complement onto the nonpositive diagonal
+    rows whenever those rows plus the terms are fewer than the rows.
+    """
+    if n < 2:
+        raise GapError(f"trace bound needs n >= 2, got {n}")
+    if y.kind != MOMENTS or y.n != n:
+        raise GapError("expected a moment vector over the instance items")
+    Pq = rat(P)
+    p = to_pseudo_probabilities(y)
+    zp = constraint_diagonal(knapsack_constraint(n, Pq), p)
+    form = from_pseudo(zp, n - 1)
+    ground = SubsetIndex((1 << n) - 1, n)
+    # The top term is kept even at coefficient zero, where from_pseudo drops
+    # it: the congruence that clears it is what produces the trace identity,
+    # fold or no fold.
+    if not form.terms:
+        form.terms.append(RankOneTerm(ground, Fraction(0), index=form.index))
+    state = PivotState(form)
+    pivot_reduce(state, ground, SubsetIndex(0, n))
+    # The trace is the sum of the disk centers: the pivot keeps
+    # sigma (e_s + m)(e_s + m)^T as a folded term, so the state's diagonal
+    # alone would miss sigma * |e_s + m|^2.
+    disks = gershgorin(state)
+    trace = Fraction(sum(disks.cnum), disks.den)
+
+    # z_empty is the superset sum of the shifted pseudo-probabilities at {}.
+    z_empty = sum((val for _, val in zp.items()), Fraction(0))
+    rhs = Pq * z_empty / ((1 << n) - 2)
+    oracle = decide_form(form)
+    return TraceBoundReport(
+        trace=trace,
+        bound_rhs=rhs,
+        bound_holds=p.get(0) <= rhs,
+        matrix_psd=oracle.verdict == "PSD",
+    )
 
 
 def _fewest_items(n: int, constraints: list[LinearConstraint]) -> int:

@@ -24,6 +24,8 @@ check it against these routes, which read the moments directly:
   acceptance criterion 1 checks the identity against the literal product.
 * extract_distribution reads a full-level solution as a distribution
   over 0/1 points, or names the first subset that prevents it.
+* from_dense and to_dense convert a vector to and from its 2^n entries
+  in mask order.
 """
 
 from dataclasses import dataclass
@@ -43,6 +45,16 @@ from momentcert.lattice import (
 )
 
 ZETA_BLOCK_MAX_N = 12
+
+
+def from_dense(n: int, kind: str, values: Sequence[Fraction]) -> LatticeVector:
+    """The vector whose entry at mask m is values[m]."""
+    return LatticeVector(n, kind, dict(enumerate(values)))
+
+
+def to_dense(v: LatticeVector) -> list[Fraction]:
+    """The 2^n entries of v in mask order, zeros included."""
+    return [v.get(mask) for mask in range(1 << v.n)]
 
 
 def pair_value(w: LatticeVector, I: int, J: int) -> Fraction:
@@ -80,7 +92,7 @@ def shift(g: LinearConstraint, y: LatticeVector) -> LatticeVector:
         raise LatticeError("shift expects a moment vector")
     if g.n != y.n:
         raise LatticeError("constraint and vector over different ground sets")
-    dense = y.to_dense()
+    dense = to_dense(y)
     support = [(0, g.constant)] + [(1 << (i - 1), wi) for i, wi in g.weights.items()]
     out = []
     for mask in range(1 << y.n):
@@ -88,7 +100,7 @@ def shift(g: LinearConstraint, y: LatticeVector) -> LatticeVector:
         for kmask, coef in support:
             acc += coef * dense[mask | kmask]
         out.append(acc)
-    return LatticeVector.from_dense(y.n, MOMENTS, out)
+    return from_dense(y.n, MOMENTS, out)
 
 
 def moment_matrix(v: LatticeVector, t: int) -> list[list[Fraction]]:
@@ -129,10 +141,10 @@ class ZetaBlock:
                 f"zeta blocks are only materialized for n <= {ZETA_BLOCK_MAX_N}"
             )
         full = enumerate_subsets(n, n)
-        head = [s for s in full if s.cardinality <= t]
-        tail = [s for s in full if s.cardinality > t]
-        a = [[1 if r.issubset(c) else 0 for c in head] for r in head]
-        b = [[1 if r.issubset(c) else 0 for c in tail] for r in head]
+        head = [s for s in full if s.bits.bit_count() <= t]
+        tail = [s for s in full if s.bits.bit_count() > t]
+        a = [[1 if r.bits & ~c.bits == 0 else 0 for c in head] for r in head]
+        b = [[1 if r.bits & ~c.bits == 0 else 0 for c in tail] for r in head]
         return cls(n, t, head, tail, a, b)
 
     def a_inverse(self) -> list[list[int]]:
@@ -146,8 +158,8 @@ class ZetaBlock:
         for r in self.head:
             row = []
             for c in self.head:
-                if r.issubset(c):
-                    row.append(-1 if (c.cardinality - r.cardinality) & 1 else 1)
+                if r.bits & ~c.bits == 0:
+                    row.append(-1 if (c.bits.bit_count() - r.bits.bit_count()) & 1 else 1)
                 else:
                     row.append(0)
             out.append(row)

@@ -10,7 +10,7 @@ implementation: same verdict, same method, the same witness entry by entry.
 from fractions import Fraction
 from typing import Sequence
 
-from momentcert.certify import PsdCertificate, _check_symmetric
+from momentcert.certify import PsdCertificate
 
 
 def is_psd_exact(rows: Sequence[Sequence[Fraction]]) -> PsdCertificate:
@@ -24,7 +24,7 @@ def is_psd_exact(rows: Sequence[Sequence[Fraction]]) -> PsdCertificate:
     multipliers, and only a NotPSD verdict rebuilds the witness from them,
     in the original coordinates.
     """
-    W = _check_symmetric(rows)
+    W = [list(row) for row in rows]
     active = list(range(len(W)))
     steps: list[tuple[int, list[tuple[int, Fraction]]]] = []
     while active:

@@ -8,6 +8,8 @@ acceptance criterion 7 pins it, and tests/test_replay.py checks that the
 two tables differ in that cell alone.
 """
 
+from fractions import Fraction
+
 from momentcert.replay import REDUCTION_STAGES
 
 _TRANSCRIBED_TOP_LEFT = ((2, 0), (2, -1), (2, -2), (2, -3), (2, -4), (2, -10))
@@ -24,3 +26,8 @@ TRANSCRIBED_STAGES = tuple(
     _override_top_left(stage, cell)
     for stage, cell in zip(REDUCTION_STAGES, _TRANSCRIBED_TOP_LEFT)
 )
+
+
+def transcribed_matrices(eps: Fraction) -> list[list[list[Fraction]]]:
+    """TRANSCRIBED_STAGES at eps, evaluated as stage_matrices evaluates REDUCTION_STAGES."""
+    return [[[c + m * eps for c, m in row] for row in stage] for stage in TRANSCRIBED_STAGES]

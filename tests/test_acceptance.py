@@ -41,17 +41,16 @@ from momentcert import (
     quadratic_form,
     replay_demand_reduction,
     schedule_solution,
-    stage_matrices,
     to_pseudo_probabilities,
-    trace_bound_check,
     verify_knapsack_level,
     verify_mkp,
     verify_schedule,
 )
 
-from moments_ref import shift
+from gaps_ref import trace_bound_check
+from moments_ref import from_dense, shift, to_dense
 from psd_minors import principal_minors_psd
-from replay_ref import TRANSCRIBED_STAGES
+from replay_ref import transcribed_matrices
 
 KNAPSACK_SIZES = [(n, k) for n in range(2, 8) for k in (1, 2, 4)]
 
@@ -68,7 +67,7 @@ def random_moments(n, rng):
     values = [
         F(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(1 << n)
     ]
-    return LatticeVector.from_dense(n, MOMENTS, values)
+    return from_dense(n, MOMENTS, values)
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +108,7 @@ def test_criterion_1_full_level_diagonalization(capsys):
     for n in range(1, 5):
         for _ in range(3):
             w = random_moments(n, rng)
-            p = to_pseudo_probabilities(w).to_dense()
+            p = to_dense(to_pseudo_probabilities(w))
             size = 1 << n
             for i in range(size):
                 for j in range(size):
@@ -153,7 +152,7 @@ def _conjugate_by_head_inverse(w, t):
     n = w.n
     index = enumerate_subsets(n, t)
     size = len(index)
-    moments = w.to_dense()
+    moments = to_dense(w)
     L = math.lcm(*(v.denominator for v in moments))
     num = [v.numerator * (L // v.denominator) for v in moments]
     inter = [[0] * size for _ in range(size)]
@@ -190,7 +189,7 @@ def test_criterion_2_truncated_congruence(capsys):
                 # head/tail block identity: pushing the diagonal part
                 # through the head block and the above-level masses
                 # through the tail block rebuilds M_t(w) entrywise
-                p = to_pseudo_probabilities(w).to_dense()
+                p = to_dense(to_pseudo_probabilities(w))
                 head = [
                     v if m.bit_count() <= t else F(0)
                     for m, v in enumerate(p)
@@ -200,10 +199,10 @@ def test_criterion_2_truncated_congruence(capsys):
                     for m, v in enumerate(p)
                 ]
                 zh = from_pseudo_probabilities(
-                    LatticeVector.from_dense(n, PSEUDO_PROBABILITIES, head)
+                    from_dense(n, PSEUDO_PROBABILITIES, head)
                 )
                 zt = from_pseudo_probabilities(
-                    LatticeVector.from_dense(n, PSEUDO_PROBABILITIES, tail)
+                    from_dense(n, PSEUDO_PROBABILITIES, tail)
                 )
                 for I in index:
                     for J in index:
@@ -345,7 +344,7 @@ def test_criterion_6_trace_identity_and_mass_bound(capsys, knapsack_reports):
             if total == 0:
                 raw[0] = F(1)
                 total = F(1)
-            p = LatticeVector.from_dense(
+            p = from_dense(
                 n, PSEUDO_PROBABILITIES, [v / total for v in raw]
             )
             y = from_pseudo_probabilities(p)
@@ -374,7 +373,7 @@ def test_criterion_7_five_pivot_replay(capsys):
     failures = []
 
     result = replay_demand_reduction(eps)
-    transcribed = stage_matrices(eps, TRANSCRIBED_STAGES)
+    transcribed = transcribed_matrices(eps)
     stage_diffs = []
     for si, (got, want) in enumerate(zip(result.stages, transcribed), start=1):
         for i in range(7):
@@ -515,7 +514,7 @@ def test_criterion_9_property_suites(capsys):
         n = rng.randint(1, 8)
         w = random_moments(n, rng)
         assert from_pseudo_probabilities(to_pseudo_probabilities(w)) == w
-        p = LatticeVector.from_dense(
+        p = from_dense(
             n,
             PSEUDO_PROBABILITIES,
             [F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(1 << n)],

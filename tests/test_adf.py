@@ -24,13 +24,13 @@ from momentcert import (
     quadratic_form,
     to_pseudo_probabilities,
 )
-from moments_ref import ZetaBlock, moment_matrix
+from moments_ref import ZetaBlock, from_dense, moment_matrix
 from rank_one_ref import dense
 
 
 def random_moments(n, rng):
     values = [F(rng.randint(-8, 8), rng.randint(1, 4)) for _ in range(1 << n)]
-    return LatticeVector.from_dense(n, MOMENTS, values)
+    return from_dense(n, MOMENTS, values)
 
 
 def matmul(a, b):
@@ -56,7 +56,7 @@ def test_g_vector_binomial_magnitudes():
     g = g_vector(SubsetIndex(0b1111, 4), index)
     expected = {0: F(3), 1: F(-2), 2: F(1)}
     for val, I in zip(g, index):
-        assert val == expected[I.cardinality]
+        assert val == expected[I.bits.bit_count()]
 
 
 def test_g_vector_rejects_low_cardinality():
@@ -83,7 +83,7 @@ def test_decompose_diag_is_low_level_pseudo():
     p = to_pseudo_probabilities(w)
     form = decompose(w, 1)
     assert form.diag == [p.get(s.bits) for s in enumerate_subsets(3, 1)]
-    assert sorted(term.J.cardinality for term in form.terms) == [2, 2, 2, 3]
+    assert sorted(term.J.bits.bit_count() for term in form.terms) == [2, 2, 2, 3]
 
 
 def test_decompose_at_full_level_has_no_terms():
@@ -150,7 +150,7 @@ def test_head_and_tail_blocks_rebuild_the_moment_matrix(n, t):
     head = matmul(matmul(a, x), [list(row) for row in zip(*a)])
 
     p = to_pseudo_probabilities(w)
-    tail_sets = [s for s in enumerate_subsets(n, n) if s.cardinality > t]
+    tail_sets = [s for s in enumerate_subsets(n, n) if s.bits.bit_count() > t]
     b = [[F(v) for v in row] for row in blocks.b]
     tail = [
         [

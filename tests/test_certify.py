@@ -22,6 +22,7 @@ from momentcert import (
     RankOneTerm,
     SubsetIndex,
     assemble,
+    certify_matrix,
     certify_recipe,
     decide_form,
     decompose,
@@ -575,6 +576,10 @@ def test_oracle_error_messages():
         is_psd_exact([[F(1), F(0)], [F(0)]])
     with pytest.raises(CertifyError, match=r"^matrix is not symmetric at \(2,1\)$"):
         is_psd_exact(frac_matrix([[1, 0, 0], [0, 1, 2], [0, 3, 1]]))
+    # a float has as_integer_ratio too, but no certified path takes one
+    for decide in (is_psd_exact, gershgorin, certify_matrix):
+        with pytest.raises(CertifyError, match=r"^matrix row 1 has a float entry$"):
+            decide([[F(1), F(0)], [F(0), 0.5]])
 
 
 @st.composite

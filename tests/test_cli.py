@@ -156,6 +156,33 @@ def test_decompose_instance_refuses_oversized_knapsack_before_building(
     assert not out.exists()
 
 
+def test_decompose_refuses_a_transform_past_the_entry_limit(tmp_path):
+    # One moment on all 24 elements plus {}: the down-closure has 2^24
+    # masks, and the transform must stop once a round passes 2^14 entries.
+    # The child's address space is capped, so a missing limit fails the
+    # test instead of filling the machine's memory.
+    full = "{" + ",".join(str(i) for i in range(1, 25)) + "}"
+    src = write(tmp_path / "moments.json", {"n": 24, "values": {"{}": "1", full: "1"}})
+    out = tmp_path / "adf.json"
+    child = (
+        "import resource, sys, time\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from momentcert.cli import main\n"
+        "start = time.monotonic()\n"
+        "code = main(sys.argv[1:])\n"
+        "print(code, time.monotonic() - start)\n"
+    )
+    argv = ["decompose", "--input", src, "--level", "1", "--out", str(out)]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(momentcert.__file__)))
+    run = subprocess.run([sys.executable, "-c", child, *argv], env=env,
+                         capture_output=True, text=True, timeout=60)
+    code, seconds = run.stdout.split()
+    assert int(code) == 3
+    assert float(seconds) < 1
+    assert "above the limit of 16384" in run.stderr
+    assert not out.exists()
+
+
 def test_decompose_rejects_malformed_values(tmp_path, capsys):
     out = tmp_path / "adf.json"
     inputs = [
@@ -173,6 +200,9 @@ def test_decompose_rejects_malformed_values(tmp_path, capsys):
     # integer fields take JSON integers only: no truncation, no coercion
     for n in (2.9, True, "2"):
         inputs.append(("--input", {"n": n, "values": {"{}": "1"}}))
+    # a family that is not a string, and a rational field given as a JSON float
+    inputs.append(("--instance", {"family": [], "params": {}}))
+    inputs.append(("--instance", {"family": "knapsack", "params": {"n": 2, "P": 2.5}}))
     for flag, payload in inputs:
         src = write(tmp_path / "in.json", payload)
         assert main(["decompose", flag, src, "--level", "1", "--out", str(out)]) == 2
@@ -184,16 +214,27 @@ def test_decompose_rejects_malformed_values(tmp_path, capsys):
 
 
 def test_certify_disks_only_cannot_settle_the_strategy_matrix(tmp_path, capsys):
-    # the strategy form assembles to the strategy matrix
-    inputs = [("--matrix", STRATEGY_MATRIX), ("--adf", strategy_adf_payload())]
-    for flag, payload in inputs:
+    # the strategy form assembles to the strategy matrix; a form's disk rows
+    # carry its subset labels, as in every other form certificate, and a
+    # raw matrix's its row numbers
+    inputs = [
+        ("--matrix", STRATEGY_MATRIX, 1, "Inconclusive", ["0", "1", "2"]),
+        ("--adf", strategy_adf_payload(), 1, "Inconclusive", ["{}", "{1}", "{2}"]),
+        ("--adf", {"n": 2, "t": 0, "diag": {"{}": "-1"}, "terms": [{"J": "{1,2}", "coeff": "1"}]},
+         0, "PSD", ["{}"]),
+    ]
+    for flag, payload, expected, verdict, rows in inputs:
         src = write(tmp_path / "in.json", payload)
         out = tmp_path / "cert.json"
         code = main(
             ["certify", flag, src, "--gershgorin-only", "--out", str(out)]
         )
-        assert code == 1
-        assert read(out)["verdict"] == "Inconclusive"
+        assert code == expected
+        assert read(out)["verdict"] == verdict
+        assert [disk["row"] for disk in read(out)["final_disks"]] == rows
+        if flag == "--adf":
+            assert main(["certify", flag, src, "--out", str(out)]) == 0
+            assert [disk["row"] for disk in read(out)["final_disks"]] == rows
 
 
 def test_certify_recipe_settles_the_strategy_form(tmp_path, capsys):
@@ -439,13 +480,27 @@ def test_gap_knapsack_refuses_oversized_n_before_building(
     def unreachable(*args, **kwargs):
         raise AssertionError("a 2^n list was built before the size preflight")
 
-    for module in (momentcert.gaps, momentcert.lattice):
-        for name in ("from_pseudo_probabilities", "to_pseudo_probabilities"):
-            monkeypatch.setattr(module, name, unreachable)
+    for name in ("from_pseudo_probabilities", "to_pseudo_probabilities"):
+        monkeypatch.setattr(momentcert.lattice, name, unreachable)
+    monkeypatch.setattr(momentcert.gaps, "from_pseudo_probabilities", unreachable)
     monkeypatch.setattr(momentcert.gaps, "knapsack_solution", unreachable)
     out = tmp_path / "report.json"
     assert main(["gap", "knapsack", "--n", str(n), "--k", "1", "--out", str(out)]) == 3
     assert "above the limit of 4096" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gap_knapsack_trace_refuses_oversized_stages_before_assembling(
+    tmp_path, capsys, monkeypatch
+):
+    def unreachable(self):
+        raise AssertionError("a trace stage was assembled before the size check")
+
+    monkeypatch.setattr(momentcert.certify.PsdCertificate, "trace_matrices", property(unreachable))
+    out = tmp_path / "report.json"
+    argv = ["gap", "knapsack", "--n", "12", "--k", "1", "--trace", "--out", str(out)]
+    assert main(argv) == 3
+    assert "above the limit of 262144" in capsys.readouterr().err
     assert not out.exists()
 
 

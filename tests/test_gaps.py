@@ -31,7 +31,6 @@ from momentcert import (
     mkp_uniform_solution,
     relaxation_objective,
     schedule_solution,
-    trace_bound_check,
     verify_knapsack_level,
     verify_mkp,
     verify_schedule,
@@ -42,9 +41,10 @@ from gaps_ref import (
     lifted_constraint,
     mkp_integral_optimum,
     schedule_integral_optimum,
+    trace_bound_check,
 )
-from moments_ref import moment_matrix, shift
-from schedule_ref import covering_certificates
+from moments_ref import from_dense, moment_matrix, shift
+from schedule_ref import covering_certificates, deadlines
 
 # ---------------------------------------------------------------------------
 # knapsack: closed-form solution
@@ -180,7 +180,7 @@ def test_relaxation_objective_is_the_weighted_fraction_sum():
     for _ in range(40):
         n = rng.randint(1, 5)
         values = [F(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(1 << n)]
-        p = LatticeVector.from_dense(n, PSEUDO_PROBABILITIES, values)
+        p = from_dense(n, PSEUDO_PROBABILITIES, values)
         expected = sum(mask.bit_count() * v for mask, v in enumerate(values))
         assert relaxation_objective(p) == expected
 
@@ -208,7 +208,7 @@ def test_trace_bound_clamps_random_distributions():
         total = sum(raw)
         if total == 0:
             continue
-        p = LatticeVector.from_dense(
+        p = from_dense(
             n, PSEUDO_PROBABILITIES, [v / total for v in raw]
         )
         y = from_pseudo_probabilities(p)
@@ -315,14 +315,14 @@ def test_mkp_rejects_bad_parameters():
 def test_schedule_demands_and_deadlines():
     instance = build_schedule(4, 2, 3)
     assert instance.demands == [F(1), F(4), F(13), F(40)]
-    assert instance.deadlines == [F(11), F(44), F(143), F(440)]
+    assert deadlines(instance) == [F(11), F(44), F(143), F(440)]
     assert instance.jobs == 16
     assert instance.level_cap == 2
     assert instance.group_members(3) == (9, 10, 11, 12)
     # d_l = n * sum_{j<=l} P^j - D_l, by hand at n = 3, P = 5
     instance = build_schedule(3, 1, 5)
     assert instance.demands == [F(1), F(6), F(31)]
-    assert instance.deadlines == [F(14), F(84), F(434)]
+    assert deadlines(instance) == [F(14), F(84), F(434)]
 
 
 def test_schedule_covering_is_the_scaled_raw_constraint():
@@ -454,6 +454,11 @@ def test_instance_json_rejects_unknown_family():
             instance_from_json({"family": "mkp", "params": dict(mkp_params, blocks=blocks)})
     with pytest.raises(GapError):
         instance_from_json({"family": "knapsack", "params": {"n": 2.0, "P": "32"}})
+    # a family that is not a string is unknown, and a rational is not a JSON float
+    with pytest.raises(GapError):
+        instance_from_json({"family": [], "params": {}})
+    with pytest.raises(GapError):
+        instance_from_json({"family": "knapsack", "params": {"n": 2, "P": 2.5}})
 
 
 def test_gap_report_json_shape():

@@ -18,7 +18,7 @@ from momentcert import (
     from_pseudo_probabilities,
     to_pseudo_probabilities,
 )
-from moments_ref import ZetaBlock, extract_distribution, moment_matrix, shift
+from moments_ref import ZetaBlock, extract_distribution, from_dense, moment_matrix, shift, to_dense
 
 TWO_COINS = LatticeVector(
     2, MOMENTS, {0b00: 1, 0b01: "1/2", 0b10: "1/2", 0b11: "1/4"}
@@ -27,7 +27,7 @@ TWO_COINS = LatticeVector(
 
 def random_moments(n, rng):
     values = [F(rng.randint(-8, 8), rng.randint(1, 4)) for _ in range(1 << n)]
-    return LatticeVector.from_dense(n, MOMENTS, values)
+    return from_dense(n, MOMENTS, values)
 
 
 # ---------------------------------------------------------------------------
@@ -40,7 +40,7 @@ def test_shift_frozen_example():
     # singleton extensions of I minus a quarter of y_I.
     g = LinearConstraint(2, {1: 1, 2: 1}, constant="-1/4")
     z = shift(g, TWO_COINS)
-    assert z.to_dense() == [F(3, 4), F(5, 8), F(5, 8), F(7, 16)]
+    assert to_dense(z) == [F(3, 4), F(5, 8), F(5, 8), F(7, 16)]
 
 
 def test_shift_by_one_is_identity():
@@ -146,7 +146,7 @@ def test_full_diagonalize_matches_dense_congruence(n):
     zeta = [
         [1 if i & j == i else 0 for j in range(size)] for i in range(size)
     ]
-    dense_p = p.to_dense()
+    dense_p = to_dense(p)
     for i in range(size):
         for j in range(size):
             got = sum(zeta[i][k] * dense_p[k] * zeta[j][k] for k in range(size))
@@ -175,7 +175,7 @@ def linear_constraints_and_moments(draw):
     weights = {i: draw(values | st.just(F(0))) for i in range(1, n + 1)}
     g = LinearConstraint(n, weights, constant=draw(values))
     moments = draw(st.lists(values, min_size=1 << n, max_size=1 << n))
-    return g, LatticeVector.from_dense(n, MOMENTS, moments)
+    return g, from_dense(n, MOMENTS, moments)
 
 
 @settings(max_examples=80, deadline=None)
