@@ -34,12 +34,12 @@ decide_form's Schur complement of a form onto its nonpositive diagonal
 rows, and the stages of a pivot state, the diagonal plus the folded
 terms, whose pivoted terms carry their own vectors.
 
-rank_one_triangle is the one place rank-one terms are summed: as Python
-ints over one common denominator L, every product landing in one integer
-upper triangle at the term's nonzeros. assemble turns that triangle into
-the dense Fraction matrix the exact oracle, replay and --trace read, one
-Fraction per nonzero entry; certify's disk reading of a form reads its
-centers and radii from the triangle itself.
+assemble is the one place rank-one terms are summed: as Python ints over
+one common denominator, every product landing in one integer upper
+triangle at the term's nonzeros, mirrored into dense symmetric integer
+rows. The exact oracle and certify's disk reading of a form whose rows
+two terms share read those rows as they are; replay and --trace read
+their Fraction view, PsdCertificate.trace_matrices.
 """
 
 from __future__ import annotations
@@ -252,58 +252,44 @@ def decompose(w: LatticeVector, t: int) -> AlmostDiagonalForm:
     return from_pseudo(to_pseudo_probabilities(w), t)
 
 
-def rank_one_triangle(form: AlmostDiagonalForm) -> tuple[int, list[list[int]]]:
-    """The sum of the form's terms as one integer upper triangle U over L.
+def assemble(form: AlmostDiagonalForm) -> tuple[list[list[int]], int]:
+    """The form's dense symmetric matrix as integer rows over one denominator.
 
-    L is the lcm of the denominators q = c.denominator * den^2 of the
-    terms (c, num / den), and each term adds c.numerator (L / q) num_i
-    num_j to U[i][j], i <= j, over the nonzeros of num. The entries below
-    the diagonal stay zero, and the diagonal D is not included.
+    Returns (rows, den): entry (i, j) of Diag + sum of c g g^T is
+    rows[i][j] / den, where den > 0 is the lcm of the diagonal's
+    denominators and of q = c.denominator * d^2 for each term (c, num / d).
+    This is the one place rank-one terms are summed: each term adds
+    c.numerator (den / q) num_i num_j to the upper triangle over the
+    nonzeros of num, which is then mirrored below the diagonal. Any form
+    takes this path: G(J) terms from from_pseudo as well as decide_form's
+    Schur complement and the pivot stages.
     """
-    size = form.size()
     scaled: list[tuple[int, int, list[tuple[int, int]]]] = []
-    L = 1
     for term in form.terms:
         c = term.coefficient
         nz = [(k, v) for k, v in enumerate(term.num) if v]
-        if not c or not nz:
-            continue
-        q = c.denominator * term.den * term.den
-        scaled.append((c.numerator, q, nz))
-        L = math.lcm(L, q)
-    upper = [[0] * size for _ in range(size)]
-    for a, q, nz in scaled:
-        m = a * (L // q)
-        for a, (ki, hi) in enumerate(nz):
-            row = upper[ki]
-            mh = m * hi
-            for kj, hj in nz[a:]:
-                row[kj] += mh * hj
-    return L, upper
-
-
-def assemble(form: AlmostDiagonalForm) -> list[list[Fraction]]:
-    """Dense symmetric matrix Diag + sum of coeff * g g^T, summed over one denominator.
-
-    The terms are summed by rank_one_triangle, and each nonzero entry of
-    its triangle becomes one Fraction over L, mirrored below the
-    diagonal. Any form takes this path: G(J) terms from from_pseudo as
-    well as decide_form's Schur complement and the pivot stages.
-    """
+        if c and nz:
+            scaled.append((c.numerator, c.denominator * term.den * term.den, nz))
+    den = math.lcm(*(d.denominator for d in form.diag), *(q for _, q, _ in scaled))
     size = form.size()
-    L, upper = rank_one_triangle(form)
-    zero = Fraction(0)
-    rows = [[zero] * size for _ in range(size)]
-    for i, row in enumerate(upper):
-        rows[i][i] = form.diag[i] + Fraction(row[i], L) if row[i] else form.diag[i]
-        for j in range(i + 1, size):
-            if row[j]:
-                rows[i][j] = rows[j][i] = Fraction(row[j], L)
-    return rows
+    rows = [[0] * size for _ in range(size)]
+    for i, d in enumerate(form.diag):
+        rows[i][i] = d.numerator * (den // d.denominator)
+    for a, q, nz in scaled:
+        m = a * (den // q)
+        for k, (ki, hi) in enumerate(nz):
+            row = rows[ki]
+            mh = m * hi
+            for kj, hj in nz[k:]:
+                row[kj] += mh * hj
+    # Column j of the upper triangle is read before row j's lower part is written.
+    for j, col in enumerate(zip(*rows)):
+        rows[j][:j] = col[:j]
+    return rows, den
 
 
 def quadratic_form(form: AlmostDiagonalForm, v: Sequence) -> Fraction:
-    """Exact value of v^T * assemble(form) * v without building the matrix.
+    """Exact value of v^T M v, M the form's matrix, without building M.
 
     Splits into the diagonal part sum_I p_I v_I^2 plus, for every term J,
     the coefficient times the squared inner product of G(J) with v.

@@ -21,8 +21,8 @@ them fraction-free; the diagonal stays Fractions, and no float enters.
 gershgorin reads the disks of a form, and of a pivot state's stage (the
 diagonal plus the folded terms) through the same reader: in closed form
 while no row is touched by two terms, and otherwise from the integer
-triangle that assemble also starts from (adf.rank_one_triangle). The
-report holds every center and radius as an integer numerator over one
+rows of adf.assemble, through the reader of every dense integer matrix.
+The report holds every center and radius as an integer numerator over one
 denominator, so margins, the worst-row order and the disk text are read
 from integers, and no Fraction is built per row.
 
@@ -38,7 +38,9 @@ nonpositive diagonal rows plus the terms are fewer than the rows, first
 takes the Schur complement onto those rows (Haynsworth inertia additivity
 with the positive-definite rest eliminated by Woodbury). That complement
 is again a diagonal plus rank-one terms, so the same assemble and the
-same elimination decide it, and a NotPSD witness is lifted back.
+same elimination decide it, and a NotPSD witness is lifted back. Either
+way is_psd_exact reads assemble's integer rows without their common
+denominator, which changes neither the verdict nor the witness.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence, Union
 
-from .adf import AlmostDiagonalForm, RankOneTerm, assemble, rank_one_triangle
+from .adf import AlmostDiagonalForm, RankOneTerm, assemble
 from .lattice import LatticeError, SubsetIndex, rat_str, subset_label
 
 Matrix = list[list[Fraction]]
@@ -178,23 +180,16 @@ def gershgorin(
     return _row_disks(*_integer_rows(source))
 
 
-def _over(values: Sequence[Fraction], den: int) -> list[int]:
-    """The numerators of values over den, a multiple of each denominator."""
-    return [v.numerator * (den // v.denominator) for v in values]
-
-
 def _form_disks(form: AlmostDiagonalForm) -> GershgorinReport:
-    """Disks of a form, none of its cells built.
+    """Disks of a form, its cells built only when two terms share a row.
 
     While no row is touched by two terms they are read in closed form
     from each term's num over den: a row that the term (c, u) touches has
     center D_i + c u_i^2 and radius |c u_i| (|u|_1 - |u_i|), and an
     untouched row has center D_i and radius 0; the report's denominator
     is the lcm of the diagonal's and of every c.denominator * den^2.
-    Otherwise they are read from the integer triangle U over L of the
-    terms (rank_one_triangle) over the lcm of L and the diagonal's
-    denominators: row i's center is D_i + U_ii / L and its radius the sum
-    of |U_ij| over row and column i of U, over L.
+    Otherwise they are read from the integer rows of assemble over its
+    one denominator, the same lcm, as any dense integer matrix is.
     """
     nonzeros: list[list[tuple[int, int]]] = []
     touched: set[int] = set()
@@ -208,7 +203,7 @@ def _form_disks(form: AlmostDiagonalForm) -> GershgorinReport:
         scaled = [(t.coefficient.numerator, t.coefficient.denominator * t.den ** 2, nz)
                   for t, nz in zip(form.terms, nonzeros)]
         den = math.lcm(*(d.denominator for d in form.diag), *(q for _, q, _ in scaled))
-        cnum = _over(form.diag, den)
+        cnum = [d.numerator * (den // d.denominator) for d in form.diag]
         rnum = [0] * len(cnum)
         for a, q, nz in scaled:
             m = a * (den // q)
@@ -217,15 +212,8 @@ def _form_disks(form: AlmostDiagonalForm) -> GershgorinReport:
                 cnum[k] += m * v * v
                 rnum[k] = abs(m * v) * (l1 - abs(v))
         return GershgorinReport(cnum, rnum, den)
-    L, upper = rank_one_triangle(form)
-    den = math.lcm(L, *(d.denominator for d in form.diag))
-    m = den // L
-    return GershgorinReport(
-        [c + m * row[i] for i, (c, row) in enumerate(zip(_over(form.diag, den), upper))],
-        [m * (sum(map(abs, row)) + sum(map(abs, col)) - 2 * abs(row[i]))
-         for i, (row, col) in enumerate(zip(upper, zip(*upper)))],
-        den,
-    )
+    rows, den = assemble(form)
+    return _row_disks(rows, [den] * len(rows))
 
 
 def _row_disks(B: list[list[int]], q: list[int]) -> GershgorinReport:
@@ -390,8 +378,9 @@ class PsdCertificate:
 
     @property
     def trace_matrices(self) -> list[Matrix]:
-        """Each snapshot, the diagonal plus the folded terms, as one dense matrix."""
-        return [assemble(form) for form in self.snapshots]
+        """Each snapshot, the diagonal plus the folded terms, as one dense Fraction matrix."""
+        return [[[Fraction(x, den) for x in row] for row in rows]
+                for rows, den in map(assemble, self.snapshots)]
 
     @property
     def recipe_conclusive(self) -> bool:
@@ -446,7 +435,12 @@ def is_psd_exact(rows: Sequence[Sequence[Fraction]]) -> PsdCertificate:
     rebuilds the witness from them, in the original coordinates.
 
     Entries may be Fractions or ints, so integer rows (the orbit
-    blocks') are taken as they are.
+    blocks', assemble's) are taken as they are. The certificate of c A
+    equals that of A for any c > 0: the Schur complements scale by c, so
+    the pivot choice (the first largest S_ii), the multipliers (ratios
+    within the pivot row) and the zero-diagonal witness (the sign of
+    S_ij) do not change. So rows over one positive denominator may be
+    handed over as their integer numerators.
     """
     B, q = _integer_rows(rows)
     active = list(range(len(B)))
@@ -508,8 +502,9 @@ def decide_form(form: AlmostDiagonalForm) -> PsdCertificate:
     Eliminating H = L Delta L^T without pivoting (H is positive definite,
     so every Delta_j > 0) makes S a form over R with coefficients
     1/Delta_j and vectors u_j, row j of L^-1 applied to the g's; each keeps
-    its source term's J. S is decided by is_psd_exact(assemble(S)), and a
-    witness v is lifted to x_R = v, x_P = -D_P^-1 sum_j s_j u_j,P with
+    its source term's J. S is decided by is_psd_exact on the integer rows
+    of assemble(S), its common denominator dropped, and a witness v is
+    lifted to x_R = v, x_P = -D_P^-1 sum_j s_j u_j,P with
     s_j = (u_j,R . v) / Delta_j, so that x^T M x = v^T S v < 0.
 
     The reduction runs when every coefficient is positive and |R| + k is
@@ -519,7 +514,7 @@ def decide_form(form: AlmostDiagonalForm) -> PsdCertificate:
     D, k = form.diag, len(terms)
     R = [i for i, d in enumerate(D) if d <= 0]
     if any(t.coefficient < 0 for t in terms) or len(R) + k >= form.size():
-        return is_psd_exact(assemble(form))
+        return is_psd_exact(assemble(form)[0])
     P = [i for i, d in enumerate(D) if d > 0]
     vecs = [t.g_vec for t in terms]
     H = [[sum((a[i] * b[i] / D[i] for i in P if a[i] and b[i]), Fraction(0)) for b in vecs]
@@ -540,7 +535,7 @@ def decide_form(form: AlmostDiagonalForm) -> PsdCertificate:
         form.n, form.t, [form.index[i] for i in R], [D[i] for i in R],
         [RankOneTerm(t.J, 1 / d, [v[i] for i in R]) for t, d, v in zip(terms, delta, vecs)],
     )
-    cert = is_psd_exact(assemble(reduced))
+    cert = is_psd_exact(assemble(reduced)[0])
     if cert.witness is None:
         return cert
     x = [Fraction(0)] * form.size()

@@ -1,27 +1,68 @@
 """Rank-one sums and Gershgorin disks in plain Fractions, kept beside the tests as a reference.
 
-The library sums rank-one terms densely in one place,
-adf.rank_one_triangle, on integers over a common denominator; assemble
-and the disk reading of a form both start from it. The tests check them,
-and the pivot state that certify keeps as a form, against this
-entry-by-entry Fraction sum instead, so no test compares assemble with
-itself.
+The library sums rank-one terms densely in one place, adf.assemble, as
+integer rows over one common denominator; the exact oracle and the disk
+reading of a form whose rows two terms share both read those rows.
+as_fractions is the Fraction view of that pair, which the tests compare
+with matrices of Fractions. The tests check assemble, and the pivot state
+that certify keeps as a form, against the entry-by-entry Fraction sum
+below instead, so no test compares assemble with itself.
 
 The library's disk report holds integer numerators over one
 denominator. FractionReport, form_disks and row_disks are the disk
 readers it replaced, one Fraction per center, radius and margin, and
-the tests compare the report with them reading for reading.
+the tests compare the report with them reading for reading. form_disks
+reads forms whose rows two terms share from rank_one_triangle, the
+integer upper triangle the library summed its terms into before
+assemble did it, kept here so that the reference does not read the
+library's assemble.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence, Union
 
-from momentcert.adf import AlmostDiagonalForm, rank_one_triangle
+from momentcert.adf import AlmostDiagonalForm
 from momentcert.lattice import rat_str
 
 Matrix = list[list[Fraction]]
+
+
+def as_fractions(rows: Sequence[Sequence[int]], den: int) -> Matrix:
+    """The integer rows over den that assemble returns, as one Fraction matrix."""
+    return [[Fraction(x, den) for x in row] for row in rows]
+
+
+def rank_one_triangle(form: AlmostDiagonalForm) -> tuple[int, list[list[int]]]:
+    """The sum of the form's terms as one integer upper triangle U over L.
+
+    L is the lcm of the denominators q = c.denominator * den^2 of the
+    terms (c, num / den), and each term adds c.numerator (L / q) num_i
+    num_j to U[i][j], i <= j, over the nonzeros of num. The entries below
+    the diagonal stay zero, and the diagonal D is not included.
+    """
+    size = form.size()
+    scaled: list[tuple[int, int, list[tuple[int, int]]]] = []
+    L = 1
+    for term in form.terms:
+        c = term.coefficient
+        nz = [(k, v) for k, v in enumerate(term.num) if v]
+        if not c or not nz:
+            continue
+        q = c.denominator * term.den * term.den
+        scaled.append((c.numerator, q, nz))
+        L = math.lcm(L, q)
+    upper = [[0] * size for _ in range(size)]
+    for a, q, nz in scaled:
+        m = a * (L // q)
+        for a, (ki, hi) in enumerate(nz):
+            row = upper[ki]
+            mh = m * hi
+            for kj, hj in nz[a:]:
+                row[kj] += mh * hj
+    return L, upper
 
 
 def add_rank_one(rows: Matrix, coeff: Fraction, g: Sequence[Fraction]) -> None:

@@ -50,6 +50,7 @@ from momentcert import (
 from gaps_ref import trace_bound_check
 from moments_ref import from_dense, shift, to_dense
 from psd_minors import principal_minors_psd
+from rank_one_ref import as_fractions
 from replay_ref import transcribed_matrices
 
 KNAPSACK_SIZES = [(n, k) for n in range(2, 8) for k in (1, 2, 4)]
@@ -184,7 +185,7 @@ def test_criterion_2_truncated_congruence(capsys):
                 w = random_moments(n, rng)
                 form = decompose(w, t)
                 index, conj = _conjugate_by_head_inverse(w, t)
-                assert assemble(form) == conj
+                assert as_fractions(*assemble(form)) == conj
 
                 # head/tail block identity: pushing the diagonal part
                 # through the head block and the above-level masses
@@ -231,14 +232,14 @@ def test_criterion_3_worked_pivot_example(capsys):
     )
     failures = []
 
-    raw = gershgorin(assemble(form))
+    raw = gershgorin(as_fractions(*assemble(form)))
     if raw.centers != [F(3), F(5, 3), F(3)] or raw.radii != [F(4)] * 3:
         failures.append(f"raw disks differ: {raw}")
 
     cert = certify_recipe(form)
     if cert.verdict != "PSD" or not cert.recipe_conclusive:
         failures.append(f"recipe did not settle PSD: {cert.verdict}")
-    if is_psd_exact(assemble(form)).verdict != "PSD":
+    if is_psd_exact(as_fractions(*assemble(form))).verdict != "PSD":
         failures.append("oracle disagrees with the certificate")
 
     pinned_centers = [F(4, 3), F(5, 3), F(4, 3)]
@@ -493,7 +494,7 @@ def test_criterion_9_property_suites(capsys):
         decompose(random_moments(4, rng), 2),
     ]
     for form in instances:
-        dense = assemble(form)
+        dense = as_fractions(*assemble(form))
         size = form.size()
         for _ in range(100):
             v = [F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(size)]

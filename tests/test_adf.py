@@ -25,7 +25,7 @@ from momentcert import (
     to_pseudo_probabilities,
 )
 from moments_ref import ZetaBlock, from_dense, moment_matrix
-from rank_one_ref import dense
+from rank_one_ref import as_fractions, dense
 
 
 def random_moments(n, rng):
@@ -129,7 +129,7 @@ def test_assemble_is_conjugated_moment_matrix(n, t):
     inv = [[F(v) for v in row] for row in blocks.a_inverse()]
     m = moment_matrix(w, t)
     conj = matmul(matmul(inv, m), [list(row) for row in zip(*inv)])
-    assert assemble(form) == conj
+    assert as_fractions(*assemble(form)) == conj
 
 
 @pytest.mark.parametrize("n,t", [(2, 1), (3, 1), (3, 2), (4, 2)])
@@ -208,7 +208,10 @@ def rational_forms(draw):
 @settings(max_examples=150, deadline=None)
 @given(sparse_pseudo_forms() | rational_forms())
 def test_assemble_equals_the_fraction_rank_one_sum(form):
-    dense = assemble(form)
+    rows, den = assemble(form)
+    assert den > 0
+    assert all(type(x) is int for row in rows for x in row)
+    dense = as_fractions(rows, den)
     assert dense == fraction_assemble(form)
     assert all(type(x) is F for row in dense for x in row)
 
@@ -217,7 +220,7 @@ def test_quadratic_form_matches_assembled_matrix():
     rng = random.Random(77)
     w = random_moments(4, rng)
     form = decompose(w, 2)
-    dense = assemble(form)
+    dense = as_fractions(*assemble(form))
     size = form.size()
     for _ in range(25):
         v = [F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(size)]

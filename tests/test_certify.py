@@ -39,7 +39,7 @@ from momentcert import (
 import oracle_ref
 import rank_one_ref
 from psd_minors import principal_minors_psd
-from rank_one_ref import add_rank_one, dense
+from rank_one_ref import add_rank_one, as_fractions, dense
 
 # z^N = (1, -1/3, 1, 2) over the two-element lattice: diagonal part
 # (1, -1/3, 1) plus the single rank-one term 2 * G({1,2}) G({1,2})^T.
@@ -96,7 +96,7 @@ def random_form(n, t, rng):
 
 
 def test_disks_on_the_strategy_matrix():
-    report = gershgorin(assemble(STRATEGY))
+    report = gershgorin(as_fractions(*assemble(STRATEGY)))
     assert report.centers == [F(3), F(5, 3), F(3)]
     assert report.radii == [F(4), F(4), F(4)]
     assert not report.all_nonnegative
@@ -309,7 +309,7 @@ def assert_integer_terms(state):
         want = gershgorin(stage(state))
         assert (report.centers, report.radii) == (want.centers, want.radii)
     assert all(type(v) is F for v in values)
-    assert assemble(state.stage()) == stage(state)
+    assert as_fractions(*assemble(state.stage())) == stage(state)
 
 
 @settings(max_examples=150, deadline=None)
@@ -378,7 +378,7 @@ def assert_report_matches(report, ref, index):
 @given(integer_term_forms(), st.integers(0, 3), st.booleans(), st.data())
 def test_disk_report_matches_the_fraction_reference(form, pivots, fold, data):
     assert_report_matches(gershgorin(form), rank_one_ref.form_disks(form), form.index)
-    rows = assemble(form)
+    rows = as_fractions(*assemble(form))
     assert_report_matches(gershgorin(rows), rank_one_ref.row_disks(rows), form.index)
     state = PivotState(form)
     for _ in range(pivots):
@@ -420,7 +420,7 @@ def test_oracle_rejects_with_reusable_witness():
         frac_matrix([[0, 1], [1, 0]]),
         frac_matrix([[0, -1], [-1, 5]]),
         frac_matrix([[1, 2], [2, 1]]),
-        assemble(decompose(INDEFINITE, 1)),
+        as_fractions(*assemble(decompose(INDEFINITE, 1))),
     ]
     for rows in cases:
         cert = is_psd_exact(rows)
@@ -609,7 +609,9 @@ def few_term_forms(draw):
 @given(few_term_forms())
 def test_decide_form_agrees_with_the_dense_oracle(form):
     cert = decide_form(form)
-    dense = is_psd_exact(assemble(form))
+    dense = is_psd_exact(as_fractions(*assemble(form)))
+    # dropping assemble's positive denominator changes neither verdict nor witness
+    assert is_psd_exact(assemble(form)[0]).to_json_dict() == dense.to_json_dict()
     assert cert.verdict == dense.verdict
     if cert.verdict == "PSD":
         assert cert.to_json_dict() == dense.to_json_dict()
@@ -632,7 +634,7 @@ def test_recipe_greedy_settles_the_strategy_form():
     ]
     assert cert.final_disks.centers == [F(2, 3), F(5, 3), F(2, 3)]
     assert cert.final_disks.radii == [F(2, 3), F(2, 3), F(2, 3)]
-    oracle = is_psd_exact(assemble(STRATEGY))
+    oracle = is_psd_exact(as_fractions(*assemble(STRATEGY)))
     assert oracle.verdict == "PSD"
     # the oracle decided, not the disks
     assert not oracle.recipe_conclusive
@@ -651,7 +653,7 @@ def test_recipe_falls_back_to_the_oracle():
     assert cert.verdict == "NotPSD"
     assert not cert.recipe_conclusive
     assert cert.method == "exact-factorization"
-    assert quad_eval(assemble(form), cert.witness) < 0
+    assert quad_eval(as_fractions(*assemble(form)), cert.witness) < 0
 
 
 def test_recipe_verdicts_match_the_oracle_on_random_forms():
@@ -659,7 +661,7 @@ def test_recipe_verdicts_match_the_oracle_on_random_forms():
     for trial in range(25):
         form = random_form(rng.randint(2, 3), 1, rng)
         cert = certify_recipe(form)
-        oracle = is_psd_exact(assemble(form))
+        oracle = is_psd_exact(as_fractions(*assemble(form)))
         if cert.recipe_conclusive:
             # a conclusive disk pass is a soundness claim, never a refutation
             assert cert.verdict == "PSD"

@@ -44,6 +44,7 @@ from gaps_ref import (
     trace_bound_check,
 )
 from moments_ref import from_dense, moment_matrix, shift
+from rank_one_ref import as_fractions
 from schedule_ref import covering_certificates, deadlines
 
 # ---------------------------------------------------------------------------
@@ -289,7 +290,7 @@ def test_verify_mkp_large_demand_is_refuted():
     targets = [("cardinality", instance.cardinality_constraint())]
     targets += [(f"demand-{b}", instance.demand_constraint(b)) for b in (1, 2, 3)]
     for label, g in targets:
-        fresh = is_psd_exact(assemble(from_pseudo(constraint_diagonal(g, p), 1)))
+        fresh = is_psd_exact(as_fractions(*assemble(from_pseudo(constraint_diagonal(g, p), 1))))
         assert report.certificate(f"{label}-oracle").to_json_dict() == fresh.to_json_dict()
 
 

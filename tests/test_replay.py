@@ -13,6 +13,7 @@ from momentcert import (
     replay_demand_reduction,
     stage_matrices,
 )
+from rank_one_ref import as_fractions
 from replay_ref import TRANSCRIBED_STAGES
 
 
@@ -95,7 +96,7 @@ def test_replay_verdicts_track_the_oracle():
     for eps, expected in [(F(1, 32), "PSD"), (F(1, 16), "PSD"), (F(1, 8), "NotPSD")]:
         result = replay_demand_reduction(eps)
         assert result.certificate.verdict == expected
-        oracle = is_psd_exact(assemble(result.form))
+        oracle = is_psd_exact(as_fractions(*assemble(result.form)))
         assert oracle.verdict == expected
 
 

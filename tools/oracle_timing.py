@@ -7,10 +7,12 @@ checkout's src/. The oracle inputs are the knapsack covering forms at level
 n - 1 for n = 5, 6, 7 with P = 2^(2n+1) (all PSD), and one perturbed adf
 form: the level-2 moment matrix of a seeded measure on {0,1}^8 (as in
 perfbench's adf workload) with one singleton moment made negative, which
-is NotPSD. Each oracle line gives the input, its dimension (size), the
-bit length of its largest numerator or denominator, the verdict and the
-median of 3 timed runs (1 run at n = 7). Matrices are built before the
-clock starts. Two sparse oracle lines follow, a 300-row tridiagonal and a
+is NotPSD. The oracle reads each of these forms as decide_form hands it
+over, the integer rows of assemble without their common denominator.
+Each oracle line gives the input, its dimension (size), the bit length
+of its largest numerator or denominator, the verdict and the median of
+3 timed runs (1 run at n = 7). Matrices are built before the clock
+starts. Two sparse oracle lines follow, a 300-row tridiagonal and a
 300-row diagonal matrix with seeded rational entries over mixed
 denominators; the tridiagonal's diagonal exceeds its row's off-diagonal
 sum, so both are PSD.
@@ -22,7 +24,7 @@ to is_psd_exact, so the size is the reduced dimension. A recipe line then
 times certify_recipe(form, fold_top) alone, the single pivot of the top
 term into the empty-set row and the disk pass that settles it, as
 verify_knapsack_level runs it; its size and bits are those of the
-assembled covering form.
+assembled covering form's integer rows.
 
 Five schedule covering lines time the orbit-block decider,
 orbits.decide_orbits, on one prefix covering as verify_schedule runs it
@@ -52,10 +54,10 @@ trip returns the input, and the median of 3 runs of the pair.
 Two assemble lines time assemble alone on the perturbed adf forms at
 n = 8 and n = 9 (the same seed, level 2), the densification every
 perturbed adf job runs before the oracle. Size and bits are those of the
-assembled matrix and the verdict column is "-"; each line ends with the
-form's term count and its rank-one updates, the sum of nnz(g)^2 over its
-terms (perfbench's adf.assemble.updates counter), and gives the median of
-3 runs.
+assembled integer rows and the verdict column is "-"; each line ends with
+the form's term count, its rank-one updates, the sum of nnz(g)^2 over its
+terms (perfbench's adf.assemble.updates counter), and the bit length of
+the rows' one denominator (den_bits), and gives the median of 3 runs.
 
 Two adf-json lines time the ADF codec on the same perturbed forms at
 n = 8 and n = 9, as the CLI runs it: encoding is cli._write_json of
@@ -184,12 +186,12 @@ def sparse_psd(size: int, bandwidth: int) -> list[list[Fraction]]:
     return rows
 
 
-def max_bits(rows: list[list[Fraction]]) -> int:
+def max_bits(rows: list[list]) -> int:
     return max(max(abs(v.numerator).bit_length(), v.denominator.bit_length())
                for row in rows for v in row)
 
 
-def row(name: str, rows: list[list[Fraction]], verdict: str, times: list[float]) -> str:
+def row(name: str, rows: list[list], verdict: str, times: list[float]) -> str:
     return (f"{name:<28} {len(rows):>5} {max_bits(rows):>5} {verdict:>7} "
             f"{statistics.median(times):>9.4f}")
 
@@ -204,7 +206,7 @@ def timed(decide, runs: int = 3) -> tuple[str, list[float]]:
     return verdict, times
 
 
-def oracle_row(name: str, rows: list[list[Fraction]], runs: int) -> str:
+def oracle_row(name: str, rows: list[list], runs: int) -> str:
     return row(name, rows, *timed(lambda: is_psd_exact(rows), runs))
 
 
@@ -224,7 +226,7 @@ def decide_form_row(name: str, form: AlmostDiagonalForm) -> str:
     return row(name, seen[0], verdict, times)
 
 
-def recipe_row(name: str, form: AlmostDiagonalForm, rows: list[list[Fraction]]) -> str:
+def recipe_row(name: str, form: AlmostDiagonalForm, rows: list[list[int]]) -> str:
     fold_top = [(SubsetIndex((1 << form.n) - 1, form.n), SubsetIndex(0, form.n))]
     return row(name, rows, *timed(lambda: certify_recipe(form, fold_top)))
 
@@ -234,11 +236,11 @@ def assemble_row(n: int) -> str:
     times = []
     for _ in range(3):
         start = time.perf_counter()
-        rows = assemble(form)
+        rows, den = assemble(form)
         times.append(time.perf_counter() - start)
     updates = sum(sum(1 for v in term.g_vec if v) ** 2 for term in form.terms)
     return (row(f"assemble adf-perturbed n={n}", rows, "-", times)
-            + f"  terms={len(form.terms)} updates={updates}")
+            + f"  terms={len(form.terms)} updates={updates} den_bits={den.bit_length()}")
 
 
 def adf_json_row(n: int) -> str:
@@ -399,12 +401,12 @@ def main() -> int:
     print(f"{'input':<28} {'size':>5} {'bits':>5} {'verdict':>7} {'seconds':>9}")
     for n in (5, 6, 7):
         form = knapsack_covering(n)
-        rows = assemble(form)
+        rows, _ = assemble(form)
         print(oracle_row(f"knapsack-covering n={n}", rows, 1 if n == 7 else 3), flush=True)
         print(decide_form_row(f"decide_form covering n={n}", form), flush=True)
         print(recipe_row(f"recipe covering n={n}", form, rows), flush=True)
     print(oracle_row(f"adf-perturbed n={ADF_N} t={workloads.ADF_LEVEL}",
-                     assemble(perturbed_adf(ADF_N)), 3), flush=True)
+                     assemble(perturbed_adf(ADF_N))[0], 3), flush=True)
     print(oracle_row(f"tridiagonal {SPARSE_SIZE}", sparse_psd(SPARSE_SIZE, 1), 3), flush=True)
     print(oracle_row(f"diagonal {SPARSE_SIZE}", sparse_psd(SPARSE_SIZE, 0), 3), flush=True)
     for n in (8, 9):
