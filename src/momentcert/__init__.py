@@ -80,7 +80,6 @@ from .replay import (
     canonical_schedule,
     normalized_demand_form,
     replay_demand_reduction,
-    stage_matrices,
 )
 
 __version__ = "0.1.0"

@@ -37,9 +37,10 @@ terms, whose pivoted terms carry their own vectors.
 assemble is the one place rank-one terms are summed: as Python ints over
 one common denominator, every product landing in one integer upper
 triangle at the term's nonzeros, mirrored into dense symmetric integer
-rows. The exact oracle and certify's disk reading of a form whose rows
-two terms share read those rows as they are; replay and --trace read
-their Fraction view, PsdCertificate.trace_matrices.
+rows. The exact oracle, certify's disk reading of a form whose rows
+two terms share, and replay's comparison of each pivot stage with its
+goldens read those rows as they are; --trace writes the stages as forms
+and assembles none.
 """
 
 from __future__ import annotations

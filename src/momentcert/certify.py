@@ -24,7 +24,10 @@ while no row is touched by two terms, and otherwise from the integer
 rows of adf.assemble, through the reader of every dense integer matrix.
 The report holds every center and radius as an integer numerator over one
 denominator, so margins, the worst-row order and the disk text are read
-from integers, and no Fraction is built per row.
+from integers, and no Fraction is built per row. Each pivot and the
+final fold keep a snapshot of the stage as a form: --trace writes it as
+its diagonal and folded terms keyed by row label, building no cell, and
+replay compares assemble's integer rows of each with its goldens.
 
 When no pivot sequence settles the question, is_psd_exact decides it by
 exact symmetric elimination on integer rows, each over its own
@@ -49,18 +52,10 @@ import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 from .adf import AlmostDiagonalForm, RankOneTerm, assemble
 from .lattice import LatticeError, SubsetIndex, rat_str, subset_label
-
-Matrix = list[list[Fraction]]
-
-# Most cells the trace stages of one artifact may hold. Each cell is
-# written as a rational string: gap knapsack --trace at n = 8 has about
-# 196k cells and writes 15 MB, and at n = 9 about 784k cells and 73 MB,
-# growing 4x per n. The limit admits n = 8.
-MAX_TRACE_CELLS = 1 << 18
 
 
 class CertifyError(LatticeError):
@@ -69,6 +64,12 @@ class CertifyError(LatticeError):
 
 class InvalidPivotError(CertifyError):
     """Requested pivot has a zero support entry at the pivot row."""
+
+
+def ratio_str(x: int, den: int) -> str:
+    """The rat_str text of x / den for den > 0, read with one gcd."""
+    g = math.gcd(x, den)
+    return str(x // g) if g == den else f"{x // g}/{den // g}"
 
 
 def _integer_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], list[int]]:
@@ -149,17 +150,12 @@ class GershgorinReport:
         return Fraction(min(self.margins, default=0), self.den)
 
     def rows_json(self, labels: Union[Sequence[str], None] = None) -> list[dict]:
-        """One entry per row, each value the rat_str text of its numerator over den."""
+        """One entry per row, each value the ratio_str text of its numerator over den."""
         if labels is None:
             labels = [str(k) for k in range(len(self.cnum))]
         den = self.den
-
-        def text(x: int) -> str:
-            g = math.gcd(x, den)
-            return str(x // g) if g == den else f"{x // g}/{den // g}"
-
         return [
-            {"row": lab, "center": text(c), "radius": text(r)}
+            {"row": lab, "center": ratio_str(c, den), "radius": ratio_str(r, den)}
             for lab, c, r in zip(labels, self.cnum, self.rnum)
         ]
 
@@ -259,7 +255,7 @@ class PivotState:
     final disk pass (gershgorin(state)) meaningful. The stage is the
     diagonal plus the folded terms; a snapshot is the stage as a form,
     with its own diagonal and term list over the shared terms, and
-    PsdCertificate.trace_matrices assembles each one.
+    --trace writes each one as it is (PsdCertificate.to_json_dict).
     """
 
     __slots__ = ("n", "t", "index", "diag", "folded", "terms", "trace", "snapshots")
@@ -377,12 +373,6 @@ class PsdCertificate:
     snapshots: list[AlmostDiagonalForm] = field(default_factory=list)
 
     @property
-    def trace_matrices(self) -> list[Matrix]:
-        """Each snapshot, the diagonal plus the folded terms, as one dense Fraction matrix."""
-        return [[[Fraction(x, den) for x in row] for row in rows]
-                for rows, den in map(assemble, self.snapshots)]
-
-    @property
     def recipe_conclusive(self) -> bool:
         """Whether the disks proved PSD, so the oracle was never needed."""
         return self.verdict == "PSD" and self.method == "gershgorin-recipe"
@@ -400,21 +390,25 @@ class PsdCertificate:
         if self.witness is not None:
             out["witness"] = [rat_str(v) for v in self.witness]
         if include_trace:
-            check_trace_cells([self])
-            out["trace"] = [
-                [[rat_str(v) for v in row] for row in mat]
-                for mat in self.trace_matrices
-            ]
+            out["trace"] = [_stage_json(form, self.row_labels) for form in self.snapshots]
         return out
 
 
-def check_trace_cells(certificates: Iterable[PsdCertificate]) -> None:
-    """Refuse, before any stage is assembled, traces above MAX_TRACE_CELLS cells in all."""
-    cells = sum(form.size() ** 2 for cert in certificates for form in cert.snapshots)
-    if cells > MAX_TRACE_CELLS:
-        raise CertifyError(
-            f"the trace has {cells} stage cells, above the limit of {MAX_TRACE_CELLS}"
-        )
+def _stage_json(form: AlmostDiagonalForm, labels: Sequence[str]) -> dict:
+    """A snapshot as written by --trace: its diagonal and its folded terms, keyed by row label.
+
+    Each term is its coefficient and the nonzero entries of its vector,
+    num_i / den as ratio_str text; the stage's matrix is
+    Diag(diag) + sum of coeff * v v^T.
+    """
+    return {
+        "diag": {lab: rat_str(d) for lab, d in zip(labels, form.diag)},
+        "terms": [
+            {"coeff": rat_str(t.coefficient),
+             "vector": {lab: ratio_str(x, t.den) for lab, x in zip(labels, t.num) if x}}
+            for t in form.terms
+        ],
+    }
 
 
 def is_psd_exact(rows: Sequence[Sequence[Fraction]]) -> PsdCertificate:
@@ -516,9 +510,15 @@ def decide_form(form: AlmostDiagonalForm) -> PsdCertificate:
     if any(t.coefficient < 0 for t in terms) or len(R) + k >= form.size():
         return is_psd_exact(assemble(form)[0])
     P = [i for i, d in enumerate(D) if d > 0]
+    # 1 / D_i = w_i / N on P, so each entry of G_P^T D_P^-1 G_P is one
+    # integer sum over N times the two terms' denominators.
+    N = math.lcm(*(D[i].numerator for i in P))
+    w = [(i, D[i].denominator * (N // D[i].numerator)) for i in P]
+    nums = [t.num for t in terms]
+    weighted = [[(i, num[i] * wi) for i, wi in w if num[i]] for num in nums]
+    H = [[Fraction(sum(x * bn[i] for i, x in aw), N * a.den * b.den)
+          for b, bn in zip(terms, nums)] for a, aw in zip(terms, weighted)]
     vecs = [t.g_vec for t in terms]
-    H = [[sum((a[i] * b[i] / D[i] for i in P if a[i] and b[i]), Fraction(0)) for b in vecs]
-         for a in vecs]
     for j, term in enumerate(terms):
         H[j][j] += 1 / term.coefficient
     # Row operations only: H[j][j] is final once pivot j is reached, and
@@ -575,8 +575,8 @@ def certify_recipe(
     certificate names the exact oracle as its method.
     The disks are read once per pivot state, and both certificates carry
     the last reading. They also carry the snapshots: the stage after each
-    pivot and after the final fold, kept as forms and assembled only when
-    trace_matrices is read.
+    pivot and after the final fold, kept as forms, which --trace writes
+    and replay assembles.
     """
     state = PivotState(form)
     for H, S in schedule or ():

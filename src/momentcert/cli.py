@@ -47,9 +47,10 @@ Inconclusive (exit 1) otherwise. It never pivots and never calls the
 oracle, so it refuses a --schedule (exit 3), as a raw matrix does. Its
 disk rows carry the form's subset labels, and a raw matrix's row numbers.
 
---trace writes every pivot stage as a dense matrix. It exits 3 before
-any stage is assembled when the stages of the artifact hold more than
-certify.MAX_TRACE_CELLS cells in all.
+--trace writes every pivot stage as the form it is: its diagonal keyed
+by row label, and each folded term as its coefficient plus its nonzero
+vector entries keyed by row label, so no stage is assembled and the
+trace grows with the stages' nonzeros, not with the square of the size.
 """
 
 from __future__ import annotations

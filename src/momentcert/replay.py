@@ -21,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .adf import AlmostDiagonalForm, from_pseudo
-from .certify import GershgorinReport, PsdCertificate, certify_recipe
+from .adf import AlmostDiagonalForm, assemble, from_pseudo
+from .certify import GershgorinReport, PsdCertificate, certify_recipe, ratio_str
 from .gaps import MkpInstance, build_mkp, mkp_uniform_solution
 from .lattice import (
     PSEUDO_PROBABILITIES,
@@ -33,8 +33,6 @@ from .lattice import (
     rat_str,
 )
 from .moments import constraint_diagonal
-
-Matrix = list[list[Fraction]]
 
 # The five pivots of the worked reduction: fold term H at row S.
 CANONICAL_PIVOTS: tuple[tuple[str, str], ...] = (
@@ -135,23 +133,17 @@ def canonical_schedule() -> list[tuple[SubsetIndex, SubsetIndex]]:
     return [(SubsetIndex.parse(h, 6), SubsetIndex.parse(s, 6)) for h, s in CANONICAL_PIVOTS]
 
 
-def stage_matrices(eps: RationalLike) -> list[Matrix]:
-    """Evaluate REDUCTION_STAGES at a rational eps.
-
-    The table entries are ints, so each c + m * eps is already a Fraction.
-    """
-    e = rat(eps)
-    return [[[c + m * e for c, m in row] for row in stage] for stage in REDUCTION_STAGES]
-
-
 @dataclass
 class ReplayResult:
-    """One full replay run against the frozen stage goldens."""
+    """One full replay run against the frozen stage goldens.
+
+    Each stage is assemble's (rows, den) of the certificate's snapshot.
+    """
 
     eps: Fraction
     form: AlmostDiagonalForm
     certificate: PsdCertificate
-    stages: list[Matrix]
+    stages: list[tuple[list[list[int]], int]]
     mismatches: list[dict]
 
     @property
@@ -171,8 +163,8 @@ class ReplayResult:
             "mismatches": self.mismatches,
             "final_disks": self.final_disks.rows_json(self.certificate.row_labels),
             "stages": [
-                [[rat_str(v) for v in row] for row in stage]
-                for stage in self.stages
+                [[ratio_str(x, den) for x in row] for row in rows]
+                for rows, den in self.stages
             ],
         }
 
@@ -181,28 +173,32 @@ def replay_demand_reduction(eps: RationalLike) -> ReplayResult:
     """Run the canonical five-pivot reduction and diff it against goldens.
 
     The comparison target is REDUCTION_STAGES; a mismatch there means
-    the pivot mechanics regressed. The certificate comes from the same
-    run, so when the final disks do not settle the matrix (they do not,
-    for eps above 1/17) the verdict is the exact oracle's.
+    the pivot mechanics regressed. Each snapshot's integer rows over den
+    are compared with the golden (c, m) pairs on integers: at eps = a / b
+    the cell holds c + m eps exactly when rows[i][j] b == (c b + m a) den.
+    The certificate comes from the same run, so when the final disks do
+    not settle the matrix (they do not, for eps above 1/17) the verdict
+    is the exact oracle's.
     """
     e = rat(eps)
+    a, b = e.numerator, e.denominator
     instance = canonical_instance(e)
     form = normalized_demand_form(instance)
     cert = certify_recipe(form, schedule=canonical_schedule())
-    stages = cert.trace_matrices
-    golden = stage_matrices(e)
+    stages = [assemble(snapshot) for snapshot in cert.snapshots]
     mismatches = []
-    for si, (got, want) in enumerate(zip(stages, golden), start=1):
+    for si, ((rows, den), golden) in enumerate(zip(stages, REDUCTION_STAGES), start=1):
         for i in range(7):
             for j in range(7):
-                if got[i][j] != want[i][j]:
+                c, m = golden[i][j]
+                if rows[i][j] * b != (c * b + m * a) * den:
                     mismatches.append(
                         {
                             "stage": si,
                             "row": i,
                             "col": j,
-                            "computed": rat_str(got[i][j]),
-                            "expected": rat_str(want[i][j]),
+                            "computed": ratio_str(rows[i][j], den),
+                            "expected": ratio_str(c * b + m * a, b),
                         }
                     )
     return ReplayResult(eps=e, form=form, certificate=cert, stages=stages, mismatches=mismatches)

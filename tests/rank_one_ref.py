@@ -4,7 +4,8 @@ The library sums rank-one terms densely in one place, adf.assemble, as
 integer rows over one common denominator; the exact oracle and the disk
 reading of a form whose rows two terms share both read those rows.
 as_fractions is the Fraction view of that pair, which the tests compare
-with matrices of Fractions. The tests check assemble, and the pivot state
+with matrices of Fractions, and stage_from_json rebuilds a stage that
+--trace wrote as a form. The tests check assemble, and the pivot state
 that certify keeps as a form, against the entry-by-entry Fraction sum
 below instead, so no test compares assemble with itself.
 
@@ -81,6 +82,25 @@ def dense(diag: Sequence[Fraction], terms) -> Matrix:
         rows[k][k] = val
     for term in terms:
         add_rank_one(rows, term.coefficient, term.g_vec)
+    return rows
+
+
+def stage_from_json(stage: dict, labels: Sequence[str]) -> Matrix:
+    """A --trace stage rebuilt as Diag(diag) + sum of coeff * v v^T, rows in the order of labels.
+
+    The stage lists every row's diagonal entry by label, and each term
+    its coefficient and its nonzero vector entries by label.
+    """
+    assert sorted(stage["diag"]) == sorted(labels)
+    pos = {lab: k for k, lab in enumerate(labels)}
+    rows = [[Fraction(0)] * len(labels) for _ in labels]
+    for lab, d in stage["diag"].items():
+        rows[pos[lab]][pos[lab]] = Fraction(d)
+    for term in stage["terms"]:
+        g = [Fraction(0)] * len(labels)
+        for lab, v in term["vector"].items():
+            g[pos[lab]] = Fraction(v)
+        add_rank_one(rows, Fraction(term["coeff"]), g)
     return rows
 
 

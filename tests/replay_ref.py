@@ -1,4 +1,7 @@
-"""The hand-transcribed stage tables of the worked demand reduction, kept beside the tests.
+"""The worked demand reduction's stage tables as Fraction matrices, kept beside the tests.
+
+stage_matrices evaluates the exact tables, REDUCTION_STAGES, at a
+rational eps; the library compares its stages with them on integers.
 
 TRANSCRIBED_STAGES is the hand calculation that circulates with the
 worked example of momentcert.replay. It disagrees with the exact
@@ -10,7 +13,10 @@ two tables differ in that cell alone.
 
 from fractions import Fraction
 
+from momentcert.lattice import RationalLike, rat
 from momentcert.replay import REDUCTION_STAGES
+
+Matrix = list[list[Fraction]]
 
 _TRANSCRIBED_TOP_LEFT = ((2, 0), (2, -1), (2, -2), (2, -3), (2, -4), (2, -10))
 
@@ -26,6 +32,15 @@ TRANSCRIBED_STAGES = tuple(
     _override_top_left(stage, cell)
     for stage, cell in zip(REDUCTION_STAGES, _TRANSCRIBED_TOP_LEFT)
 )
+
+
+def stage_matrices(eps: RationalLike) -> list[Matrix]:
+    """Evaluate REDUCTION_STAGES at a rational eps.
+
+    The table entries are ints, so each c + m * eps is already a Fraction.
+    """
+    e = rat(eps)
+    return [[[c + m * e for c, m in row] for row in stage] for stage in REDUCTION_STAGES]
 
 
 def transcribed_matrices(eps: Fraction) -> list[list[list[Fraction]]]:

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import momentcert.adf
@@ -34,6 +34,7 @@ from momentcert import (
     pivot_reduce,
     quad_eval,
     quadratic_form,
+    rat_str,
 )
 
 import oracle_ref
@@ -115,6 +116,20 @@ def test_disks_rows_json_uses_labels():
         {"row": "{}", "center": "2", "radius": "1"},
         {"row": "{1}", "center": "2", "radius": "1"},
     ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.just(0), st.integers(-(10 ** 40), 10 ** 40)),
+       st.one_of(st.just(1), st.integers(1, 10 ** 20)))
+@example(0, 1)
+@example(-7, 1)
+@example(7, 1)
+@example(-6, 4)
+@example(6, 4)
+@example(0, 9)
+def test_ratio_str_is_rat_str_of_the_fraction(x, den):
+    # the text of the disks, the replay stages and the trace vectors
+    assert momentcert.certify.ratio_str(x, den) == rat_str(F(x, den))
 
 
 # ---------------------------------------------------------------------------
@@ -269,10 +284,12 @@ def test_rank_one_pivots_match_the_dense_congruence(form, fold_first, pivots, da
         stages.append(expected)
     if not fold_first:
         fold()
-    # the certificate assembles the snapshot forms when the trace is read
-    cert = PsdCertificate("PSD", "gershgorin-recipe", snapshots=state.snapshots)
-    first = cert.trace_matrices
-    assert first == stages
+    # the written trace holds the snapshot forms; rebuild each stage from its JSON
+    labels = state.labels()
+    cert = PsdCertificate("PSD", "gershgorin-recipe", row_labels=labels,
+                          snapshots=state.snapshots)
+    trace = cert.to_json_dict(include_trace=True)["trace"]
+    assert [rank_one_ref.stage_from_json(s, labels) for s in trace] == stages
 
 
 @st.composite

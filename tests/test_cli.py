@@ -17,10 +17,12 @@ from hypothesis import strategies as st
 import momentcert
 from momentcert import assemble, from_pseudo, normalized_demand_form
 from momentcert import build_mkp, build_schedule, mkp_uniform_solution, schedule_solution
-from momentcert import canonical_instance, stage_matrices
+from momentcert import canonical_instance
 from momentcert import cli
 from momentcert.cli import main
 from momentcert.lattice import PSEUDO_PROBABILITIES, LatticeVector
+from rank_one_ref import stage_from_json
+from replay_ref import stage_matrices
 
 INDEFINITE_MOMENTS = {
     "n": 2,
@@ -431,9 +433,9 @@ def test_certify_five_pivot_schedule_settles_small_eps(tmp_path, capsys):
     data = read(out)
     assert data["verdict"] == "PSD"
     golden = stage_matrices(F(1, 32))
-    got = [
-        [[F(v) for v in row] for row in stage] for stage in data["trace"]
-    ]
+    # rows in index order, as the disk rows list them
+    labels = [row["row"] for row in data["final_disks"]]
+    got = [stage_from_json(stage, labels) for stage in data["trace"]]
     assert got == golden
 
 
@@ -490,18 +492,28 @@ def test_gap_knapsack_refuses_oversized_n_before_building(
     assert not out.exists()
 
 
-def test_gap_knapsack_trace_refuses_oversized_stages_before_assembling(
-    tmp_path, capsys, monkeypatch
-):
-    def unreachable(self):
-        raise AssertionError("a trace stage was assembled before the size check")
-
-    monkeypatch.setattr(momentcert.certify.PsdCertificate, "trace_matrices", property(unreachable))
-    out = tmp_path / "report.json"
-    argv = ["gap", "knapsack", "--n", "12", "--k", "1", "--trace", "--out", str(out)]
-    assert main(argv) == 3
-    assert "above the limit of 262144" in capsys.readouterr().err
-    assert not out.exists()
+def test_gap_knapsack_trace_at_n_12_stays_within_twice_the_plain_report(tmp_path):
+    # The stages are written as forms, so the trace grows with their
+    # nonzeros; 4095 rows assembled would be 16.7M cells per stage. The
+    # child's address space is capped, so assembling them fails the test
+    # instead of filling the machine's memory.
+    child = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from momentcert.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(momentcert.__file__)))
+    sizes = {}
+    for flags in ([], ["--trace"]):
+        out = tmp_path / f"report{len(flags)}.json"
+        argv = ["gap", "knapsack", "--n", "12", "--k", "1", *flags, "--out", str(out)]
+        run = subprocess.run([sys.executable, "-c", child, *argv], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        sizes[bool(flags)] = out.stat().st_size
+    assert "trace" in read(out)["certificates"][0]
+    assert sizes[True] <= 2 * sizes[False]
 
 
 def test_gap_mkp_exit_tracks_the_demand(tmp_path, capsys):

@@ -10,11 +10,12 @@ from momentcert import (
     canonical_schedule,
     is_psd_exact,
     normalized_demand_form,
+    rat_str,
     replay_demand_reduction,
-    stage_matrices,
 )
+import momentcert.replay
 from rank_one_ref import as_fractions
-from replay_ref import TRANSCRIBED_STAGES
+from replay_ref import TRANSCRIBED_STAGES, stage_matrices, transcribed_matrices
 
 
 def test_canonical_schedule_labels():
@@ -77,6 +78,21 @@ def test_replay_reproduces_the_stage_tables():
         result = replay_demand_reduction(eps)
         assert result.matches, result.mismatches
         assert len(result.stages) == 6
+        assert [as_fractions(*stage) for stage in result.stages] == stage_matrices(eps)
+
+
+def test_replay_reports_each_mismatched_cell_on_integers(monkeypatch):
+    # against the transcribed tables every stage differs in its top-left cell
+    eps = F(3, 64)
+    monkeypatch.setattr(momentcert.replay, "REDUCTION_STAGES", TRANSCRIBED_STAGES)
+    result = replay_demand_reduction(eps)
+    assert not result.matches
+    exact, transcribed = stage_matrices(eps), transcribed_matrices(eps)
+    assert result.mismatches == [
+        {"stage": si, "row": 0, "col": 0, "computed": rat_str(exact[si - 1][0][0]),
+         "expected": rat_str(transcribed[si - 1][0][0])}
+        for si in range(1, 7)
+    ]
 
 
 def test_replay_final_disks_at_the_boundary_eps():

@@ -107,6 +107,20 @@ size is the state's, the bits column is "-", the verdict is "pass" when
 every disk passes and "fail" otherwise, and the seconds column is the
 median of 21 runs. The line ends with deterministic counters: the rows
 and the bit length of the report's one denominator.
+
+The trace-json line runs `gap knapsack --n 12 --k 1` in process through
+cli.main, without and then with --trace, into a temporary directory with
+the run reports kept off stdout. The size is the largest stage's rows,
+the bits column is "-", the verdict is "ok" when every run exits 0, and
+the seconds column is the median of 3 traced runs. The line ends with the
+median of 3 untraced runs (plain=), the traced and untraced artifact
+bytes, and the number of stages the traced artifact holds.
+
+The replay line times replay_demand_reduction at eps = 5/64, the worked
+five-pivot reduction compared with its stage goldens. The size is the
+form's, the verdict is the certificate's, and the seconds column is the
+median of 21 runs; the line ends with that median in milliseconds and
+the number of mismatched cells.
 """
 
 from __future__ import annotations
@@ -152,6 +166,7 @@ from momentcert.lattice import (  # noqa: E402
 )
 from momentcert.moments import constraint_diagonal  # noqa: E402
 from momentcert.orbits import block_matrix, decide_orbits, orbit_blocks  # noqa: E402
+from momentcert.replay import replay_demand_reduction  # noqa: E402
 import workloads  # noqa: E402
 
 ADF_N = 8
@@ -382,6 +397,41 @@ def mkp_recipe_row() -> str:
             f"readings={counts['readings']} folded={counts['folded']}")
 
 
+def trace_json_row() -> str:
+    argv = ["gap", "knapsack", "--n", "12", "--k", "1"]
+    times: dict[bool, list[float]] = {False: [], True: []}
+    sizes, codes = {}, set()
+    with tempfile.TemporaryDirectory() as tmp:
+        for traced in (False, True):
+            out = os.path.join(tmp, f"report{int(traced)}.json")
+            for _ in range(3):
+                start = time.perf_counter()
+                with contextlib.redirect_stdout(io.StringIO()):
+                    codes.add(cli.main(argv + ["--trace"] * traced + ["--out", out]))
+                times[traced].append(time.perf_counter() - start)
+            sizes[traced] = os.path.getsize(out)
+        with open(out, encoding="utf-8") as fh:
+            stages = [stage for cert in json.load(fh)["certificates"]
+                      for stage in cert.get("trace", [])]
+    verdict = "ok" if codes == {0} else f"exit{sorted(codes)}"
+    return (f"{'trace-json knapsack n=12 k=1':<28} {max(len(s['diag']) for s in stages):>5} "
+            f"{'-':>5} {verdict:>7} {statistics.median(times[True]):>9.4f}  "
+            f"plain={statistics.median(times[False]):.4f} bytes={sizes[True]} "
+            f"plain_bytes={sizes[False]} stages={len(stages)}")
+
+
+def replay_row(eps: Fraction) -> str:
+    times = []
+    for _ in range(21):
+        start = time.perf_counter()
+        result = replay_demand_reduction(eps)
+        times.append(time.perf_counter() - start)
+    median = statistics.median(times)
+    return (f"{f'replay eps={rat_str(eps)}':<28} {result.form.size():>5} {'-':>5} "
+            f"{result.certificate.verdict:>7} {median:>9.4f}  ms={1000 * median:.2f} "
+            f"mismatches={len(result.mismatches)}")
+
+
 def schedule_covering_row(k: int, P: int, level: int) -> str:
     instance = build_schedule(4, k, P)
     t = instance.level_cap - 1
@@ -429,6 +479,8 @@ def main() -> int:
     print(transform_row("transform-pair schedule n=4",
                         schedule_solution(build_schedule(4, 2, 20))), flush=True)
     print(transform_row("transform-pair moments n=9", measure_moments(9)), flush=True)
+    print(trace_json_row(), flush=True)
+    print(replay_row(Fraction(5, 64)), flush=True)
     return 0
 
 
